@@ -50,7 +50,6 @@ from .generation import (
     ControlTrack,
     EchoPredictor,
     GenerationContext,
-    RecordingPredictor,
     Schedule,
     SpeechTokenSeq,
     UniformPredictor,

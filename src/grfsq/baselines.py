@@ -7,14 +7,18 @@ grid quantizer run on identical data without any neural training.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex
-from .quantizer import UtilizationReport, _frames_array, _utilization_percent
+from .quantizer import (
+    UtilizationReport,
+    _frames_array,
+    _token_bitrate,
+    _utilization_percent,
+)
 
 SCHEMES = ("vq", "gvq", "rvq", "grvq")
 
@@ -215,10 +219,8 @@ def baseline_utilization(tokens, cfg: BaselineConfig) -> UtilizationReport:
 
 
 def baseline_bitrate(cfg: BaselineConfig, fps: float) -> float:
-    """groups * residuals * log2(k) * fps, matching the grid quantizer's accounting."""
-    if not (math.isfinite(fps) and fps > 0):
-        raise InvalidConfig(f"fps must be positive, got {fps}")
-    return cfg.groups * cfg.residuals * math.log2(cfg.codebook_size) * fps
+    """groups * residuals * log2(k) * fps, the grid quantizer's accounting."""
+    return _token_bitrate(cfg.groups * cfg.residuals, cfg.codebook_size, fps)
 
 
 def codebook_to_bytes(book: Codebook) -> bytes:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
 from .fsq import LevelSpec
-from .quantizer import GrfsqConfig
+from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
 STREAM_VERSION = 1
@@ -52,6 +52,11 @@ class StreamHeader:
     version: int = STREAM_VERSION
 
     def __post_init__(self):
+        _check_fps(self.fps)
+        with np.errstate(over="ignore"):
+            stored = np.float32(self.fps)  # the header field is single precision
+        if not (np.isfinite(stored) and stored > 0):
+            raise InvalidConfig(f"fps {self.fps} does not fit a single-precision header field")
         if self.packing_mode not in PACKING_MODE_NAMES:
             raise InvalidConfig(f"unknown packing mode {self.packing_mode}")
         if self.frame_count < 0 or self.frame_count > 2**32 - 1:
@@ -242,16 +247,24 @@ def write_stream(header: StreamHeader, tensor, sink) -> int:
 
 
 def read_stream(source) -> tuple[StreamHeader, np.ndarray]:
-    """Read a full stream; rejects truncation and trailing garbage."""
+    """Read a full stream; rejects truncation and trailing garbage.
+
+    The payload length is checked against the header before anything is
+    sized from its frame count.
+    """
     header = _decode_header(source)
     cfg = header.config
     nbytes = frame_block_bytes(cfg, header.packing_mode)
+    payload = source.read()
+    expected = header.frame_count * nbytes
+    if len(payload) < expected:
+        raise CorruptStream(f"truncated payload: wanted {expected} bytes, got {len(payload)}")
+    if len(payload) > expected:
+        raise CorruptStream(f"trailing data: {len(payload) - expected} bytes after final block")
     tensor = np.empty(
         (header.frame_count, cfg.num_groups, cfg.num_residuals), dtype=np.int64
     )
     for t in range(header.frame_count):
-        block = _read_exact(source, nbytes, f"payload block {t}")
+        block = payload[t * nbytes : (t + 1) * nbytes]
         tensor[t] = frame_unpack(block, cfg, header.packing_mode)
-    if source.read(1):
-        raise CorruptStream("trailing data after final block")
     return header, tensor

@@ -194,10 +194,7 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         header, tokens = bitstream.read_stream(fh)
     cfg = header.config
-    frames = np.empty((header.frame_count, cfg.total_dim))
-    for t in range(header.frame_count):
-        frames[t] = grfsq_dequantize(tokens[t], cfg)
-    _write_frames(args.output, frames)
+    _write_frames(args.output, grfsq_dequantize(tokens, cfg))
     print(
         json.dumps(
             {

@@ -104,7 +104,7 @@ def bound(z, spec: LevelSpec) -> np.ndarray:
 
 
 def _nearest_codes(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Per-dimension nearest grid code for bounded values, ties to the larger code.
+    """Nearest grid code for bounded values of shape (..., d), ties to the larger code.
 
     A rounded first guess is refined against the float grid values of its
     neighbors so the result is always the true argmin of |y - value(k)|.
@@ -117,7 +117,19 @@ def _nearest_codes(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
     # candidates are ordered largest-first, and argmin keeps the first
     # minimum, so exact ties resolve to the larger code
     pick = np.argmin(dist, axis=0)
-    return cands[pick, np.arange(y.shape[0])].astype(np.int64)
+    return np.take_along_axis(cands, pick[None], axis=0)[0].astype(np.int64)
+
+
+def _flatten(codes, spec: LevelSpec) -> np.ndarray:
+    """Mixed-radix flat index of codes (..., d), as uint64."""
+    return np.asarray(codes, dtype=np.uint64) @ np.asarray(spec.strides, dtype=np.uint64)
+
+
+def _unflatten(index, spec: LevelSpec) -> np.ndarray:
+    """Per-dimension codes (..., d) of flat indices (...), as uint64."""
+    idx = np.asarray(index, dtype=np.uint64)
+    strides = np.asarray(spec.strides, dtype=np.uint64)
+    return idx[..., None] // strides % np.asarray(spec.levels, dtype=np.uint64)
 
 
 def fsq_quantize(z, spec: LevelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +152,7 @@ def fsq_dequantize(codes, spec: LevelSpec) -> np.ndarray:
 
 def codes_to_index(codes, spec: LevelSpec) -> int:
     """Flatten per-dimension codes into the mixed-radix codebook index."""
-    arr = _checked_codes(codes, spec)
-    index = 0
-    for code, stride in zip(arr.tolist(), spec.strides):
-        index += code * stride
-    return index
+    return int(_flatten(_checked_codes(codes, spec), spec))
 
 
 def index_to_codes(index: int, spec: LevelSpec) -> np.ndarray:
@@ -152,10 +160,7 @@ def index_to_codes(index: int, spec: LevelSpec) -> np.ndarray:
     idx = int(index)
     if idx < 0 or idx >= spec.codebook_size:
         raise InvalidIndex(f"index {idx} out of range for codebook size {spec.codebook_size}")
-    codes = np.empty(spec.d, dtype=np.int64)
-    for i, l in enumerate(spec.levels):
-        idx, codes[i] = divmod(idx, l)
-    return codes
+    return _unflatten(idx, spec).astype(np.int64)
 
 
 def ste_gradient(z, spec: LevelSpec, upstream) -> np.ndarray:
@@ -174,9 +179,5 @@ def enumerate_codebook(spec: LevelSpec, cap: int = ENUMERATION_CAP) -> np.ndarra
     size = spec.codebook_size
     if size > cap:
         raise TooLarge(f"codebook size {size} exceeds enumeration cap {cap}")
-    flat = np.arange(size, dtype=np.int64)
-    out = np.empty((size, spec.d), dtype=np.float64)
-    levels = np.asarray(spec.levels, dtype=np.float64)
-    for i, (l, stride) in enumerate(zip(spec.levels, spec.strides)):
-        out[:, i] = _grid_values((flat // stride) % l, levels[i])
-    return out
+    codes = _unflatten(np.arange(size, dtype=np.uint64), spec)
+    return _grid_values(codes, spec.levels)

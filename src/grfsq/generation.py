@@ -238,7 +238,8 @@ def generate(
     nll_per_layer = np.zeros(num_layers)
     num_classes = None
     prev = None
-    for layer in range(num_layers):
+    for layer_pass in build_schedule(T, num_layers).passes:
+        layer = layer_pass.layer
         context = assemble_context(
             global_feature, layer, speech, controls, prev_tokens=prev, num_groups=num_groups
         )
@@ -301,25 +302,6 @@ class EchoPredictor:
         t_idx, g_idx = np.indices((T, G))
         grid[t_idx, g_idx, self.target[:, :, layer]] = 1.0
         return grid
-
-
-class RecordingPredictor:
-    """Wraps a predictor and snapshots every context it receives."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.contexts: list[GenerationContext] = []
-
-    def __call__(self, context: GenerationContext) -> np.ndarray:
-        self.contexts.append(
-            GenerationContext(
-                global_feature=context.global_feature.copy(),
-                layer_indicator=context.layer_indicator,
-                framewise=context.framewise.copy(),
-                prev_layer_tokens=context.prev_layer_tokens.copy(),
-            )
-        )
-        return self.inner(context)
 
 
 class BigramPredictor:

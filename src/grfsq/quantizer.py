@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     InvalidIndex,
     InvalidInput,
 )
-from .fsq import LevelSpec, _finite_vector, _grid_values, _nearest_codes
+from .fsq import LevelSpec, _finite_vector, _flatten, _grid_values, _nearest_codes, _unflatten
 
 DEFAULT_GROUPS = 12
 DEFAULT_RESIDUALS = 4
@@ -31,6 +30,7 @@ DEFAULT_LEVELS = (5, 5, 5, 5)
 DEFAULT_FPS = 25.0
 
 _ORTHO_TOL = 1e-5  # projections are stored at single precision
+_CHUNK = 256  # frames per batched encode; bounds the (R, chunk, D) partials
 
 
 def _as_projection(mat, d: int, group_dim: int, g: int) -> np.ndarray:
@@ -70,6 +70,7 @@ class GrfsqConfig:
                     f"without projections group_dim ({self.group_dim}) must equal "
                     f"the grid dimension ({d})"
                 )
+            object.__setattr__(self, "_downs", None)
             object.__setattr__(self, "_ups", None)
         else:
             downs = tuple(self.projections)
@@ -81,9 +82,11 @@ class GrfsqConfig:
                 _as_projection(m, d, self.group_dim, g) for g, m in enumerate(downs)
             )
             object.__setattr__(self, "projections", downs)
-            ups = tuple(np.ascontiguousarray(m.T) for m in downs)
-            for u in ups:
-                u.setflags(write=False)
+            stacked = np.stack(downs)  # (G, d, group_dim)
+            ups = np.ascontiguousarray(stacked.transpose(0, 2, 1))
+            stacked.setflags(write=False)
+            ups.setflags(write=False)
+            object.__setattr__(self, "_downs", stacked)
             object.__setattr__(self, "_ups", ups)
         if self.level_spec.codebook_size > 2**63 - 1:
             raise InvalidConfig("codebook size too large for signed 64-bit indices")
@@ -133,84 +136,73 @@ class UtilizationReport:
     empty: bool = False
 
 
-def _quantize_frame(x: np.ndarray, cfg: GrfsqConfig):
-    """One frame through the group/residual loop.
+def _project(stacked: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply per-group matrices (G, m, n) to vectors (..., G, n).
 
-    Returns (indices (G, R), partials (R, D)) where partials[r] is the
+    matmul makes one matrix-vector BLAS call per (row, group), the same call
+    a single ``matrix @ vector`` makes, so batching does not change a bit.
+    """
+    return np.matmul(stacked, v[..., None])[..., 0]
+
+
+def _encode(arr: np.ndarray, cfg: GrfsqConfig):
+    """Frames (T, D) through the group/residual recursion, all rows at once.
+
+    Returns (indices (T, G, R), partials (R, T, D)) where partials[r] is the
     reconstruction truncated to the first r+1 residual stages.
     """
-    G, R, dg = cfg.num_groups, cfg.num_residuals, cfg.group_dim
+    T = arr.shape[0]
     levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
-    strides = cfg.level_spec.strides
-    indices = np.empty((G, R), dtype=np.int64)
-    partials = np.empty((R, cfg.total_dim), dtype=np.float64)
-    for g in range(G):
-        lo = g * dg
-        down = cfg.projections[g] if cfg.projections is not None else None
-        residual = x[lo : lo + dg].copy()
-        acc = np.zeros(dg)
-        for r in range(R):
-            z = down @ residual if down is not None else residual
-            codes = _nearest_codes(np.tanh(z), levels)
-            values = _grid_values(codes, levels)
-            q = cfg._ups[g] @ values if down is not None else values
-            acc = acc + q
-            residual = residual - q
-            flat = 0
-            for code, stride in zip(codes.tolist(), strides):
-                flat += code * stride
-            indices[g, r] = flat
-            partials[r, lo : lo + dg] = acc
+    residual = arr.reshape(T, cfg.num_groups, cfg.group_dim)
+    acc = np.zeros_like(residual)
+    indices = np.empty((T, cfg.num_groups, cfg.num_residuals), dtype=np.int64)
+    partials = np.empty((cfg.num_residuals, T, cfg.total_dim), dtype=np.float64)
+    for r in range(cfg.num_residuals):
+        z = residual if cfg._downs is None else _project(cfg._downs, residual)
+        codes = _nearest_codes(np.tanh(z), levels)
+        values = _grid_values(codes, levels)
+        q = values if cfg._ups is None else _project(cfg._ups, values)
+        acc = acc + q
+        residual = residual - q
+        indices[:, :, r] = _flatten(codes, cfg.level_spec)
+        partials[r] = acc.reshape(T, cfg.total_dim)
     return indices, partials
 
 
 def grfsq_quantize(x, cfg: GrfsqConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quantize one frame; returns (reconstruction, indices of shape (G, R))."""
     xv = _finite_vector(x, cfg.total_dim, name="frame")
-    indices, partials = _quantize_frame(xv, cfg)
-    return partials[-1], indices
+    indices, partials = _encode(xv[None], cfg)
+    return partials[-1, 0], indices[0]
 
 
 def _checked_indices(indices, cfg: GrfsqConfig) -> np.ndarray:
     arr = np.asarray(indices)
-    if arr.shape != (cfg.num_groups, cfg.num_residuals):
-        raise InvalidIndex(
-            f"expected index shape ({cfg.num_groups}, {cfg.num_residuals}), "
-            f"got {arr.shape}"
-        )
+    block = (cfg.num_groups, cfg.num_residuals)
+    if arr.shape[-2:] != block:
+        raise InvalidIndex(f"expected index shape (..., {block[0]}, {block[1]}), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise InvalidIndex("indices must be integers")
     if np.any(arr < 0) or np.any(arr >= cfg.codebook_size):
         raise InvalidIndex(f"indices out of range for codebook size {cfg.codebook_size}")
-    return arr.astype(np.int64)
+    return arr
 
 
 def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
-    """Rebuild a frame from its (G, R) index block.
+    """Rebuild frames (..., D) from index blocks (..., G, R).
 
-    Accumulation order matches grfsq_quantize, so the result is bit-equal to
-    the reconstruction returned there.
+    Stages accumulate in the same order as the quantizer, so the result is
+    bit-equal to the reconstruction returned there.
     """
     arr = _checked_indices(indices, cfg)
-    dg = cfg.group_dim
     levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
-    out = np.empty(cfg.total_dim, dtype=np.float64)
-    for g in range(cfg.num_groups):
-        acc = np.zeros(dg)
-        for r in range(cfg.num_residuals):
-            codes = _flat_to_codes(int(arr[g, r]), cfg.level_spec)
-            values = _grid_values(codes, levels)
-            q = cfg._ups[g] @ values if cfg.projections is not None else values
-            acc = acc + q
-        out[g * dg : (g + 1) * dg] = acc
-    return out
-
-
-def _flat_to_codes(index: int, spec: LevelSpec) -> np.ndarray:
-    codes = np.empty(spec.d, dtype=np.int64)
-    for i, l in enumerate(spec.levels):
-        index, codes[i] = divmod(index, l)
-    return codes
+    values = _grid_values(_unflatten(arr, cfg.level_spec), levels)  # (..., G, R, d)
+    acc = np.zeros(arr.shape[:-1] + (cfg.group_dim,))
+    for r in range(cfg.num_residuals):
+        q = values[..., r, :]
+        q = q if cfg._ups is None else _project(cfg._ups, q)
+        acc = acc + q
+    return acc.reshape(arr.shape[:-2] + (cfg.total_dim,))
 
 
 def _frames_array(frames, dim: int | None = None) -> np.ndarray:
@@ -228,43 +220,30 @@ def _frames_array(frames, dim: int | None = None) -> np.ndarray:
 
 
 def quantize_sequence(
-    frames, cfg: GrfsqConfig, workers: int = 1
+    frames, cfg: GrfsqConfig
 ) -> tuple[np.ndarray, np.ndarray, ReconstructionReport]:
-    """Quantize frames row by row.
+    """Quantize frames in fixed batches of rows.
 
-    Returns (indices (T, G, R), reconstructions (T, D), report). The output
-    is identical for any worker count; frames are merged in order.
+    Returns (indices (T, G, R), reconstructions (T, D), report). Each row
+    is bit-equal to a single-frame :func:`grfsq_quantize` call.
     """
     arr = _frames_array(frames, cfg.total_dim)
     T, D = arr.shape
-    R = cfg.num_residuals
-    indices = np.empty((T, cfg.num_groups, R), dtype=np.int64)
+    indices = np.empty((T, cfg.num_groups, cfg.num_residuals), dtype=np.int64)
     recon = np.empty((T, D), dtype=np.float64)
-    if T == 0:
-        report = ReconstructionReport(
-            per_frame_rmse=np.zeros(0),
-            cumulative_rmse_by_residual=np.zeros(R),
-            mean_rmse=0.0,
-        )
-        return indices, recon, report
-
-    sq_err_by_stage = np.zeros(R)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda row: _quantize_frame(row, cfg), arr))
-    else:
-        results = [_quantize_frame(row, cfg) for row in arr]
-    for t, (idx, partials) in enumerate(results):
-        indices[t] = idx
-        recon[t] = partials[-1]
-        sq_err_by_stage += ((arr[t] - partials) ** 2).sum(axis=1)
+    sq_err_by_stage = np.zeros(cfg.num_residuals)
+    for s in range(0, T, _CHUNK):
+        chunk = arr[s : s + _CHUNK]
+        idx, partials = _encode(chunk, cfg)
+        indices[s : s + _CHUNK] = idx
+        recon[s : s + _CHUNK] = partials[-1]
+        sq_err_by_stage += ((chunk - partials) ** 2).sum(axis=(1, 2))
 
     per_frame = np.sqrt(((arr - recon) ** 2).mean(axis=1))
-    cumulative = np.sqrt(sq_err_by_stage / (T * D))
     report = ReconstructionReport(
         per_frame_rmse=per_frame,
-        cumulative_rmse_by_residual=cumulative,
-        mean_rmse=float(per_frame.mean()),
+        cumulative_rmse_by_residual=np.sqrt(sq_err_by_stage / max(T * D, 1)),
+        mean_rmse=float(per_frame.mean()) if T else 0.0,
     )
     return indices, recon, report
 
@@ -308,19 +287,27 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     return dataclasses.replace(cfg, projections=tuple(downs))
 
 
+def _check_fps(fps: float) -> None:
+    if not (math.isfinite(fps) and fps > 0):
+        raise InvalidConfig(f"fps must be finite and positive, got {fps}")
+
+
+def _token_bitrate(books: int, codebook_size: int, fps: float) -> float:
+    """Index bitrate of ``books`` codebooks per frame: books * log2(k) * fps."""
+    _check_fps(fps)
+    return books * math.log2(codebook_size) * fps
+
+
 def bitrate(cfg: GrfsqConfig, fps: float) -> float:
     """Theoretical token bitrate: groups * residuals * log2(codebook) * fps."""
-    if not (math.isfinite(fps) and fps > 0):
-        raise InvalidConfig(f"fps must be positive, got {fps}")
-    return cfg.num_groups * cfg.num_residuals * math.log2(cfg.codebook_size) * fps
+    return _token_bitrate(cfg.num_groups * cfg.num_residuals, cfg.codebook_size, fps)
 
 
 def float_stream_bitrate(dims: int, fps: float, bits_per_scalar: int = 32) -> float:
     """Bitrate of an uncompressed float latent stream, for comparison rows."""
     if dims < 1 or bits_per_scalar < 1:
         raise InvalidConfig("dims and bits_per_scalar must be positive")
-    if not (math.isfinite(fps) and fps > 0):
-        raise InvalidConfig(f"fps must be positive, got {fps}")
+    _check_fps(fps)
     return dims * bits_per_scalar * fps
 
 

@@ -31,7 +31,6 @@ from grfsq.fsq import LevelSpec, enumerate_codebook, fsq_quantize, ste_gradient
 from grfsq.generation import (
     ControlTrack,
     EchoPredictor,
-    RecordingPredictor,
     SpeechTokenSeq,
     UniformPredictor,
     build_schedule,
@@ -46,6 +45,7 @@ from grfsq.quantizer import (
     quantize_sequence,
     utilization,
 )
+from recording_predictor import RecordingPredictor
 
 SPEC5x4 = LevelSpec((5, 5, 5, 5))
 

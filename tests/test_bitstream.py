@@ -259,6 +259,26 @@ class TestCorruptionDetection:
                 with pytest.raises(CorruptStream):
                     read_stream(io.BytesIO(bytes(corrupted)))
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_invalid_fps_rejected(self, fps):
+        raw = bytearray(self.make_stream())
+        raw[20:24] = struct.pack("<f", fps)
+        with pytest.raises(CorruptStream, match="fps"):
+            read_stream(io.BytesIO(bytes(raw)))
+        with pytest.raises(InvalidConfig, match="fps"):
+            StreamHeader(config=DEFAULT, frame_count=3, fps=fps)
+
+    @pytest.mark.parametrize("fps", [1e39, 1e-50])
+    def test_fps_must_survive_single_precision(self, fps):
+        with pytest.raises(InvalidConfig, match="single-precision"):
+            StreamHeader(config=DEFAULT, frame_count=3, fps=fps)
+
+    def test_huge_frame_count_rejected_before_allocation(self):
+        raw = bytearray(self.make_stream())
+        raw[16:20] = struct.pack("<I", 2**32 - 1)
+        with pytest.raises(CorruptStream, match="truncated payload"):
+            read_stream(io.BytesIO(bytes(raw)))
+
     def test_fps_field_offset_assumption(self):
         # guard for the offsets used above
         raw = self.make_stream()

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -87,6 +88,16 @@ class TestEncode:
         assert code == 3
         assert "calibrate" in stderr
 
+    @pytest.mark.parametrize("fps", ["0", "1e39"])
+    def test_bad_fps_exits_3_without_output(self, tmp_path, capsys, frames48, fps):
+        path, _ = frames48
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out), "--fps", fps)
+        assert code == 3
+        assert stdout == ""
+        assert "fps" in stderr
+        assert not out.exists()
+
     def test_missing_input_exits_4(self, tmp_path, capsys):
         code, _, _ = run(capsys, "encode", str(tmp_path / "nope.jsonl"), str(tmp_path / "x.grfq"))
         assert code == 4
@@ -139,6 +150,21 @@ class TestDecodeErrors:
         code, _, stderr = run(capsys, "decode", str(stream), str(tmp_path / "d.jsonl"))
         assert code == 2
         assert "truncated" in stderr
+
+    @pytest.mark.parametrize("fps", [float("nan"), -5.0])
+    def test_invalid_header_fps_exits_2(self, tmp_path, capsys, frames48, fps):
+        path, _ = frames48
+        stream = tmp_path / "out.grfq"
+        run(capsys, "encode", str(path), str(stream))
+        data = bytearray(stream.read_bytes())
+        data[20:24] = struct.pack("<f", fps)
+        stream.write_bytes(bytes(data))
+        decoded = tmp_path / "d.jsonl"
+        code, stdout, stderr = run(capsys, "decode", str(stream), str(decoded))
+        assert code == 2
+        assert stdout == ""
+        assert "fps" in stderr
+        assert not decoded.exists()
 
     def test_garbage_exits_2(self, tmp_path, capsys):
         stream = tmp_path / "bad.grfq"

@@ -163,6 +163,16 @@ class TestIndexBijection:
         for index in range(spec.codebook_size):
             assert codes_to_index(index_to_codes(index, spec), spec) == index
 
+    def test_round_trip_above_signed_64_bit(self):
+        # 255**8 > 2**63: indices past the signed range must still round-trip
+        spec = LevelSpec((255,) * 8)
+        assert spec.codebook_size > 2**63
+        for index in (0, 2**63 - 1, 2**63, 2**63 + 12345, spec.codebook_size - 1):
+            codes = index_to_codes(index, spec)
+            assert codes_to_index(codes, spec) == index
+        assert index_to_codes(spec.codebook_size - 1, spec).tolist() == [254] * 8
+        assert codes_to_index([254] * 8, spec) == spec.codebook_size - 1
+
     @given(
         levels=st.lists(st.integers(2, 9), min_size=1, max_size=4),
         data=st.data(),

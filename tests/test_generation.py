@@ -10,7 +10,6 @@ from grfsq.generation import (
     BigramPredictor,
     ControlTrack,
     EchoPredictor,
-    RecordingPredictor,
     SpeechTokenSeq,
     UniformPredictor,
     argmax_sample,
@@ -22,6 +21,7 @@ from grfsq.generation import (
     nll,
 )
 from grfsq.quantizer import GrfsqConfig, quantize_sequence
+from recording_predictor import RecordingPredictor
 
 
 def make_inputs(T, vocab=16, seed=50, num_groups=3):

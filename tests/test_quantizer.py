@@ -10,6 +10,7 @@ from grfsq.errors import (
     InvalidIndex,
     InvalidInput,
 )
+from grfsq import quantizer
 from grfsq.fsq import LevelSpec, codes_to_index, enumerate_codebook, fsq_quantize
 from grfsq.quantizer import (
     DEFAULT_FPS,
@@ -236,17 +237,21 @@ class TestQuantizeSequence:
             assert np.array_equal(tokens[t], indices)
             assert np.array_equal(recon[t], x_hat)
 
-    def test_worker_count_does_not_change_output(self):
-        rng = np.random.default_rng(9)
-        cfg = default_config()
-        frames = rng.uniform(-1, 1, size=(60, 48))
-        seq1 = quantize_sequence(frames, cfg, workers=1)
-        seq4 = quantize_sequence(frames, cfg, workers=4)
-        assert np.array_equal(seq1[0], seq4[0])
-        assert np.array_equal(seq1[1], seq4[1])
-        assert np.array_equal(
-            seq1[2].cumulative_rmse_by_residual, seq4[2].cumulative_rmse_by_residual
-        )
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_batches_match_reference_walk(self, projected):
+        # more rows than two encode batches, so batch seams are crossed
+        rng = np.random.default_rng(10)
+        if projected:
+            cfg = random_projected_config(rng, groups=12, residuals=4, d=4, group_dim=8)
+        else:
+            cfg = default_config()
+        frames = rng.normal(0.0, 1.5, size=(2 * quantizer._CHUNK + 3, cfg.total_dim))
+        tokens, recon, _ = quantize_sequence(frames, cfg)
+        for t, x in enumerate(frames):
+            ref_recon, ref_indices, _ = reference_walk(x, cfg)
+            assert np.array_equal(tokens[t], ref_indices)
+            assert np.array_equal(recon[t], ref_recon)
+        assert np.array_equal(grfsq_dequantize(tokens, cfg), recon)
 
     def test_cumulative_rmse_refinement_profile(self):
         # With unit-range input every residual magnitude drops below
