@@ -41,6 +41,7 @@ MODE_MIXED_RADIX = 0
 MODE_FIXED_WIDTH = 1
 
 PACKING_MODE_NAMES = {MODE_MIXED_RADIX: "mixed-radix", MODE_FIXED_WIDTH: "fixed-width"}
+_READ_CHUNK = 1 << 16  # largest single read request while decoding a header
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,10 +183,21 @@ def _encode_header(header: StreamHeader) -> bytes:
 
 
 def _read_exact(source, n: int, what: str) -> bytes:
-    buf = source.read(n)
-    if len(buf) != n:
-        raise CorruptStream(f"truncated {what}: wanted {n} bytes, got {len(buf)}")
-    return buf
+    """Read exactly n bytes, at most _READ_CHUNK per request, so a length taken
+    from a corrupted header never asks for more than the bytes present plus
+    one chunk."""
+    parts = []
+    remaining = n
+    while remaining:
+        buf = source.read(min(remaining, _READ_CHUNK))
+        if not buf:
+            break
+        parts.append(buf)
+        remaining -= len(buf)
+    data = b"".join(parts)
+    if len(data) != n:
+        raise CorruptStream(f"truncated {what}: wanted {n} bytes, got {len(data)}")
+    return data
 
 
 def _decode_header(source) -> StreamHeader:
@@ -203,6 +215,10 @@ def _decode_header(source) -> StreamHeader:
     packing_mode, proj_flag = struct.unpack("<BB", _read_exact(source, 2, "flags"))
     if proj_flag not in (0, 1):
         raise CorruptStream(f"invalid projection flag {proj_flag}")
+    if total_dim != groups * group_dim:
+        raise CorruptStream(
+            f"declared total_dim {total_dim} != groups*group_dim {groups * group_dim}"
+        )
     projections = None
     if proj_flag:
         n = groups * d * group_dim
@@ -222,10 +238,6 @@ def _decode_header(source) -> StreamHeader:
         )
     except InvalidConfig as exc:
         raise CorruptStream(f"invalid header: {exc}") from None
-    if cfg.total_dim != total_dim:
-        raise CorruptStream(
-            f"declared total_dim {total_dim} != groups*group_dim {cfg.total_dim}"
-        )
     return header
 
 

@@ -205,6 +205,13 @@ def nll(predictions, targets) -> float:
         raise InvalidInput("targets must be integers")
     if tgt.min() < 0 or tgt.max() >= probs.shape[2]:
         raise InvalidInput(f"targets must lie in [0, {probs.shape[2]})")
+    return _picked_nll(probs, tgt)
+
+
+def _picked_nll(probs: np.ndarray, tgt: np.ndarray) -> float:
+    """`nll` of a validated (T, G, C) grid and in-range (T, G) integer targets."""
+    if tgt.size == 0:
+        return 0.0
     t_idx, g_idx = np.indices(tgt.shape)
     picked = probs[t_idx, g_idx, tgt]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
@@ -228,8 +235,9 @@ def generate(
     """Run the layered generation loop.
 
     The predictor is invoked exactly once per layer with a context holding
-    only the previous layer's tokens; its grid is argmax-sampled into that
-    layer's slice of the output tensor (T, groups, layers).
+    only the previous layer's tokens; its grid is validated once and
+    argmax-sampled into that layer's slice of the output tensor
+    (T, groups, layers). Only one layer's grid is held at a time.
     """
     if num_layers < 1 or num_groups < 1:
         raise InvalidInput("num_layers and num_groups must be positive")
@@ -255,11 +263,13 @@ def generate(
                 f"layer {layer}: class count changed from {num_classes} to {grid.shape[2]}"
             )
         try:
-            tokens = argmax_sample(grid)
+            probs = validate_prediction_grid(grid)
         except InvalidInput as exc:
             raise PredictorContractViolation(f"layer {layer}: {exc}") from None
+        tokens = probs.argmax(axis=2).astype(np.int64)
         if with_nll:
-            nll_per_layer[layer] = nll(grid, tokens)
+            nll_per_layer[layer] = _picked_nll(probs, tokens)
+        del grid, probs  # free this layer's grid before the next predictor call
         out[:, :, layer] = tokens
         prev = tokens
     if with_nll:
@@ -309,8 +319,10 @@ class BigramPredictor:
 
     Per layer, two count channels are combined multiplicatively and
     renormalized: target given the same-position previous-layer token, and
-    target given the frame's speech token. Unseen symbols fall back to the
-    uniform smoothing mass.
+    target given the frame's speech token. Each channel is a table of
+    smoothed, normalized rows, one per symbol seen in training (sorted keys)
+    plus a last count-free row, exactly uniform, that unseen symbols fall
+    back to. Prediction gathers rows; nothing loops over frames or groups.
     """
 
     def __init__(self, num_classes: int, num_layers: int):
@@ -318,8 +330,10 @@ class BigramPredictor:
             raise InvalidInput("num_classes and num_layers must be positive")
         self.num_classes = num_classes
         self.num_layers = num_layers
-        self._prev_counts: list[dict[int, np.ndarray]] = [{} for _ in range(num_layers)]
-        self._speech_counts: list[dict[int, np.ndarray]] = [{} for _ in range(num_layers)]
+        no_symbols = np.zeros(0, dtype=np.int64)
+        empty = _channel_table(no_symbols, no_symbols, num_classes)
+        self._prev_tables = [empty] * num_layers
+        self._speech_tables = [empty] * num_layers
 
     @classmethod
     def fit(cls, targets, speech: SpeechTokenSeq, num_classes: int) -> "BigramPredictor":
@@ -329,34 +343,18 @@ class BigramPredictor:
         T, G, R = arr.shape
         if len(speech) != T:
             raise InvalidInput(f"speech covers {len(speech)} frames, targets cover {T}")
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise InvalidInput("targets must be integers")
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise InvalidInput(f"targets must lie in [0, {num_classes})")
+        arr = arr.astype(np.int64, copy=False)
         model = cls(num_classes, R)
-        tokens = speech.tokens
+        speech_per_cell = np.broadcast_to(speech.tokens[:, None], (T, G))
         for r in range(R):
             prev = np.zeros((T, G), dtype=np.int64) if r == 0 else arr[:, :, r - 1]
-            pc, sc = model._prev_counts[r], model._speech_counts[r]
-            for t in range(T):
-                a = int(tokens[t])
-                row_s = sc.get(a)
-                if row_s is None:
-                    row_s = sc[a] = np.zeros(num_classes, dtype=np.int64)
-                for g in range(G):
-                    tgt = int(arr[t, g, r])
-                    p = int(prev[t, g])
-                    row_p = pc.get(p)
-                    if row_p is None:
-                        row_p = pc[p] = np.zeros(num_classes, dtype=np.int64)
-                    row_p[tgt] += 1
-                    row_s[tgt] += 1
+            model._prev_tables[r] = _channel_table(prev, arr[:, :, r], num_classes)
+            model._speech_tables[r] = _channel_table(speech_per_cell, arr[:, :, r], num_classes)
         return model
-
-    def _channel(self, table: dict[int, np.ndarray], symbol: int) -> np.ndarray:
-        counts = table.get(symbol)
-        if counts is None:
-            return np.full(self.num_classes, 1.0 / self.num_classes)
-        smoothed = counts + 1.0
-        return smoothed / smoothed.sum()
 
     def __call__(self, context: GenerationContext) -> np.ndarray:
         layer = context.layer_indicator
@@ -365,16 +363,33 @@ class BigramPredictor:
                 f"layer {layer} beyond the {self.num_layers} trained layers"
             )
         speech_tokens = context.framewise[:, 0].astype(np.int64)
-        prev = context.prev_layer_tokens
-        T, G = prev.shape
-        grid = np.empty((T, G, self.num_classes))
-        for t in range(T):
-            p_speech = self._channel(self._speech_counts[layer], int(speech_tokens[t]))
-            for g in range(G):
-                p_prev = self._channel(self._prev_counts[layer], int(prev[t, g]))
-                joint = p_prev * p_speech
-                grid[t, g] = joint / joint.sum()
+        prev_keys, prev_table = self._prev_tables[layer]
+        speech_keys, speech_table = self._speech_tables[layer]
+        grid = prev_table[_table_rows(prev_keys, context.prev_layer_tokens)]
+        grid *= speech_table[_table_rows(speech_keys, speech_tokens)][:, None, :]
+        grid /= grid.sum(axis=2, keepdims=True)
         return grid
+
+
+def _channel_table(symbols, targets, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted symbols seen and their (K + 1, C) add-one-smoothed, normalized
+    target rows; the last row has no counts, so it is exactly 1/C."""
+    keys, rows = np.unique(np.ravel(symbols), return_inverse=True)
+    counts = np.bincount(
+        rows * num_classes + np.ravel(targets),
+        minlength=(keys.size + 1) * num_classes,
+    )
+    smoothed = counts.reshape(keys.size + 1, num_classes) + 1.0
+    return keys, smoothed / smoothed.sum(axis=1, keepdims=True)
+
+
+def _table_rows(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Row of each symbol in a channel table; unseen symbols get the last row."""
+    if keys.size == 0:
+        return np.zeros(np.shape(symbols), dtype=np.intp)
+    pos = np.searchsorted(keys, symbols)
+    seen = keys[np.minimum(pos, keys.size - 1)] == symbols
+    return np.where(seen, pos, keys.size)
 
 
 def load_speech_tokens(

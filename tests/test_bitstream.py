@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grfsq.bitstream import (
+    _READ_CHUNK,
     MODE_FIXED_WIDTH,
     MODE_MIXED_RADIX,
     StreamHeader,
@@ -32,6 +33,18 @@ def projected_config() -> GrfsqConfig:
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
         downs.append(q[:, :2].T.astype(np.float32).astype(np.float64))
     return GrfsqConfig(2, 3, LevelSpec((5, 5)), 6, tuple(downs))
+
+
+class RecordingReader(io.BytesIO):
+    """A byte source that logs the size of every read request."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.requests: list[int] = []
+
+    def read(self, size=-1):
+        self.requests.append(size)
+        return super().read(size)
 
 
 def roundtrip_stream(header, tensor):
@@ -278,6 +291,42 @@ class TestCorruptionDetection:
         raw[16:20] = struct.pack("<I", 2**32 - 1)
         with pytest.raises(CorruptStream, match="truncated payload"):
             read_stream(io.BytesIO(bytes(raw)))
+
+    def projected_stream(self) -> bytes:
+        cfg = projected_config()
+        tensor = np.zeros((2, 2, 3), dtype=np.int64)
+        buf = io.BytesIO()
+        write_stream(StreamHeader(config=cfg, frame_count=2, fps=25.0), tensor, buf)
+        return buf.getvalue()
+
+    # projected_config(): d = 2, so group_dim is the u16 at offset 10 and
+    # total_dim the u16 at offset 12; 2 groups, group_dim 6.
+    @pytest.mark.parametrize(
+        "group_dim, total_dim, match",
+        [
+            (30000, 12, "total_dim"),  # dims disagree: rejected before any projection read
+            (30000, 60000, "truncated projections"),  # 480 kB declared, 56 present
+        ],
+    )
+    def test_corrupted_projection_dims_read_bounded(self, group_dim, total_dim, match):
+        raw = bytearray(self.projected_stream())
+        assert struct.unpack("<HH", raw[10:14]) == (6, 12)
+        raw[10:14] = struct.pack("<HH", group_dim, total_dim)
+        reader = RecordingReader(bytes(raw))
+        with pytest.raises(CorruptStream, match=match):
+            read_stream(reader)
+        assert reader.requests
+        assert max(reader.requests) <= len(raw) + _READ_CHUNK
+
+    def test_projection_block_read_in_chunks(self):
+        cfg = GrfsqConfig(1, 1, LevelSpec((3, 3)), 20000, (np.eye(2, 20000),))
+        buf = io.BytesIO()
+        write_stream(StreamHeader(config=cfg, frame_count=1, fps=25.0), np.zeros((1, 1, 1)), buf)
+        reader = RecordingReader(buf.getvalue())
+        header, _ = read_stream(reader)
+        assert header == StreamHeader(config=cfg, frame_count=1, fps=25.0)
+        sized = [n for n in reader.requests if n is not None and n >= 0]
+        assert max(sized) == _READ_CHUNK  # 160 kB of projections, three requests
 
     def test_fps_field_offset_assumption(self):
         # guard for the offsets used above

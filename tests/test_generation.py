@@ -22,6 +22,7 @@ from grfsq.generation import (
 )
 from grfsq.quantizer import GrfsqConfig, quantize_sequence
 from recording_predictor import RecordingPredictor
+from reference_bigram import ReferenceBigram
 
 
 def make_inputs(T, vocab=16, seed=50, num_groups=3):
@@ -221,6 +222,141 @@ class TestGenerate:
 
         with pytest.raises(PredictorContractViolation):
             generate(shifty, np.zeros(2), speech, controls, num_layers=2, num_groups=3)
+
+
+class TestGenerateValidatesOnce:
+    """generate() validates each grid once and scores that same array."""
+
+    @pytest.mark.parametrize(
+        "bad_value, message",
+        [(np.nan, "finite"), (-0.1, "non-negative"), (0.3, "sum to 1")],
+    )
+    def test_bad_grid_names_the_layer(self, bad_value, message):
+        speech, controls = make_inputs(4)
+        C = 5
+
+        def predictor(context):
+            grid = np.full((4, 3, C), 1.0 / C)
+            if context.layer_indicator == 1:
+                grid[2, 1, 3] = bad_value
+            return grid
+
+        with pytest.raises(PredictorContractViolation, match=f"layer 1: .*{message}"):
+            generate(predictor, np.zeros(2), speech, controls, num_layers=3, num_groups=3)
+
+    def test_one_validation_per_layer(self, monkeypatch):
+        import grfsq.generation as generation
+
+        calls = []
+        real = generation.validate_prediction_grid
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generation, "validate_prediction_grid", counting)
+        speech, controls = make_inputs(6)
+        generate(
+            UniformPredictor(5), np.zeros(2), speech, controls,
+            num_layers=4, num_groups=3, with_nll=True,
+        )
+        assert len(calls) == 4
+
+    def test_layer_nll_is_nll_of_argmax(self):
+        T, G, R, C, vocab = 30, 4, 3, 50, 8
+        rng = np.random.default_rng(55)
+        train = rng.integers(0, C, size=(T, G, R))
+        model = BigramPredictor.fit(
+            train, SpeechTokenSeq(tokens=rng.integers(0, vocab, T), vocab=vocab), C
+        )
+        speech, controls = make_inputs(T, vocab=vocab)
+        recorder = RecordingPredictor(model)
+        out, layer_nll = generate(
+            recorder, np.zeros(2), speech, controls, num_layers=R, num_groups=G, with_nll=True
+        )
+        assert len(recorder.contexts) == R
+        for r, ctx in enumerate(recorder.contexts):
+            grid = model(ctx)
+            assert np.array_equal(out[:, :, r], argmax_sample(grid))
+            assert layer_nll[r] == nll(grid, argmax_sample(grid))
+
+
+class TestBigramMatchesReference:
+    """The table-gather predictor equals the per-(t, g) dict reference bit for bit."""
+
+    @staticmethod
+    def assert_tables_match(model, ref):
+        for r in range(ref.num_layers):
+            for (keys, table), counts in (
+                (model._prev_tables[r], ref.prev_counts[r]),
+                (model._speech_tables[r], ref.speech_counts[r]),
+            ):
+                assert keys.tolist() == sorted(counts)
+                assert table.shape == (len(counts) + 1, ref.num_classes)
+                for row, symbol in zip(table, keys.tolist()):
+                    assert np.array_equal(row, ref.channel(counts, symbol))
+                assert np.array_equal(table[-1], ref.channel(counts, -1))  # unseen fallback
+
+    @staticmethod
+    def assert_predictions_match(model, ref, speech, prev_layers):
+        T = len(speech)
+        controls = ControlTrack(
+            head_pose=np.zeros((T, 3)), gaze=np.zeros((T, 2)), blink=np.zeros((T, 2))
+        )
+        G = prev_layers[0].shape[1]
+        for layer, prev in enumerate(prev_layers):
+            ctx = assemble_context(
+                np.zeros(2), layer, speech, controls,
+                prev_tokens=None if layer == 0 else prev, num_groups=G,
+            )
+            got, want = model(ctx), ref(ctx)
+            assert got.shape == want.shape == (T, G, ref.num_classes)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("num_groups", [1, 3])
+    @pytest.mark.parametrize("num_classes", [7, 50, 625])
+    def test_fit_and_predict(self, num_classes, num_groups):
+        T, G, R, C, vocab = 40, num_groups, 3, num_classes, 16
+        rng = np.random.default_rng(56)
+        # trained tokens avoid 0 and C-1, trained speech avoids 0..3 and 12..15
+        train = rng.integers(1, C - 1, size=(T, G, R))
+        train_speech = rng.integers(4, 12, T)
+        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
+        ref = ReferenceBigram.fit(train, train_speech, C)
+        self.assert_tables_match(model, ref)
+
+        speech = SpeechTokenSeq(tokens=np.arange(T) % vocab, vocab=vocab)
+        prev_layers = [np.zeros((T, G), dtype=np.int64)]
+        for _ in range(1, R):
+            prev = rng.integers(0, C, size=(T, G))
+            prev[0, 0], prev[-1, -1] = 0, C - 1  # below and above every trained key
+            prev[1, 0] = train[0, 0, 0]  # and at least one seen key
+            prev_layers.append(prev)
+        self.assert_predictions_match(model, ref, speech, prev_layers)
+
+    def test_unfitted_model(self):
+        model, ref = BigramPredictor(num_classes=7, num_layers=2), ReferenceBigram(7, 2)
+        self.assert_tables_match(model, ref)
+        speech = SpeechTokenSeq(tokens=np.array([0, 3, 1]), vocab=4)
+        prev_layers = [np.zeros((3, 2), dtype=np.int64), np.array([[0, 6], [2, 3], [5, 1]])]
+        self.assert_predictions_match(model, ref, speech, prev_layers)
+
+    def test_zero_frames(self):
+        C, vocab = 9, 4
+        empty = SpeechTokenSeq(tokens=np.zeros(0, dtype=np.int64), vocab=vocab)
+        train = np.zeros((0, 2, 2), dtype=np.int64)
+        model = BigramPredictor.fit(train, empty, C)
+        ref = ReferenceBigram.fit(train, empty.tokens, C)
+        self.assert_tables_match(model, ref)
+        prev_layers = [np.zeros((0, 2), dtype=np.int64)] * 2
+        self.assert_predictions_match(model, ref, empty, prev_layers)
+        # a model fitted on frames also predicts an empty sequence
+        rng = np.random.default_rng(57)
+        train = rng.integers(0, C, size=(5, 2, 2))
+        speech = rng.integers(0, vocab, 5)
+        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=speech, vocab=vocab), C)
+        ref = ReferenceBigram.fit(train, speech, C)
+        self.assert_predictions_match(model, ref, empty, prev_layers)
 
 
 class TestBigramPredictor:
