@@ -27,6 +27,7 @@ padding must read back as zero.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ MODE_FIXED_WIDTH = 1
 
 PACKING_MODE_NAMES = {MODE_MIXED_RADIX: "mixed-radix", MODE_FIXED_WIDTH: "fixed-width"}
 _READ_CHUNK = 1 << 16  # largest single read request while decoding a header
+_PACK_CELLS = 1 << 12  # indices per numpy pass while packing or unpacking a payload
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,70 +99,157 @@ def frame_block_bytes(cfg: GrfsqConfig, mode: int) -> int:
     return (frame_bits(cfg, mode) + 7) // 8
 
 
-def _flat_indices(indices, cfg: GrfsqConfig) -> list[int]:
-    arr = np.asarray(indices)
-    count = cfg.num_groups * cfg.num_residuals
-    if arr.shape == (cfg.num_groups, cfg.num_residuals):
-        arr = arr.reshape(count)
-    elif arr.shape != (count,):
-        raise InvalidInput(
-            f"expected {count} indices or shape "
-            f"({cfg.num_groups}, {cfg.num_residuals}), got {arr.shape}"
-        )
-    flat = [int(v) for v in arr]
+def _limb_digits(size: int) -> int:
+    """Base-`size` digits per uint64 limb: the largest k >= 1 with size**k < 2**63."""
+    k = 1
+    while size ** (k + 1) < 2**63:
+        k += 1
+    return k
+
+
+def _field_bytes(width: int) -> int:
+    """Bytes of the smallest unsigned integer (1, 2, 4 or 8 bytes) holding `width` bits."""
+    return 1 << max(0, (width - 1).bit_length() - 3)
+
+
+def _pack_blocks(flat: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[bytes]:
+    """Pack T frames of G*R indices, `flat` of shape (T, G*R), into their
+    blocks. Indices are checked at once; the blocks come lazily, in runs of
+    `_PACK_CELLS` indices, one numpy pass per run."""
     size = cfg.codebook_size
-    if any(v < 0 or v >= size for v in flat):
-        raise InvalidIndex(f"index out of range for codebook size {size}")
-    return flat
+    if flat.size:
+        whole = flat.dtype.kind in "biu" or (
+            flat.dtype.kind == "f" and np.all(np.isfinite(flat) & (flat == np.floor(flat)))
+        )
+        if not whole:
+            raise InvalidIndex("indices must be integers")
+        if flat.min() < 0 or flat.max() >= size:
+            raise InvalidIndex(f"index out of range for codebook size {size}")
+    nbits = frame_bits(cfg, mode)
+    frames, count = flat.shape
+    step = max(1, _PACK_CELLS // count)
+    pack = _pack_mixed_radix if mode == MODE_MIXED_RADIX else _pack_fixed_width
+    return (
+        pack(flat[s : s + step].astype(np.uint64), size, nbits)
+        for s in range(0, frames, step)
+    )
+
+
+def _pack_fixed_width(flat: np.ndarray, size: int, nbits: int) -> bytes:
+    # each index as big-endian bytes, its low `width` bits in order, then
+    # every frame's bit row packed MSB-first with zero padding
+    width = (size - 1).bit_length()
+    nb = _field_bytes(width)
+    frames, count = flat.shape
+    be = flat.astype(f">u{nb}").view(np.uint8)
+    bits = np.unpackbits(be.reshape(-1)).reshape(frames, count, nb * 8)[:, :, nb * 8 - width :]
+    return np.packbits(bits.reshape(frames, nbits), axis=1).tobytes()
+
+
+def _pack_mixed_radix(flat: np.ndarray, size: int, nbits: int) -> bytes:
+    # numpy folds each run of k digits into one uint64 limb (a base-size**k
+    # digit); Python then runs Horner over the few limbs of each frame
+    k = _limb_digits(size)
+    frames, count = flat.shape
+    limbs_per_frame = -(-count // k)
+    digits = np.zeros((frames, limbs_per_frame * k), dtype=np.uint64)
+    digits[:, :count] = flat
+    powers = np.array([size**j for j in range(k)], dtype=np.uint64)
+    limbs = digits.reshape(frames, limbs_per_frame, k) @ powers
+    base = size**k
+    nbytes = (nbits + 7) // 8
+    pad = nbytes * 8 - nbits
+    blocks = []
+    for row in limbs.tolist():
+        value = 0
+        for limb in reversed(row):  # limb 0 is least significant
+            value = value * base + limb
+        blocks.append((value << pad).to_bytes(nbytes, "big"))
+    return b"".join(blocks)
+
+
+def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int) -> np.ndarray:
+    """Invert `_pack_blocks` for a payload of whole blocks; returns (T, G, R)
+    indices. The first bad frame raises CorruptStream: nonzero padding
+    first, then a value past the codebook range."""
+    size = cfg.codebook_size
+    count = cfg.num_groups * cfg.num_residuals
+    nbits = frame_bits(cfg, mode)
+    nbytes = (nbits + 7) // 8
+    frames = len(payload) // nbytes
+    out = np.empty((frames, count), dtype=np.int64)
+    step = max(1, _PACK_CELLS // count)
+    unpack = _unpack_mixed_radix if mode == MODE_MIXED_RADIX else _unpack_fixed_width
+    view = memoryview(payload)
+    for s in range(0, frames, step):
+        n = min(step, frames - s)
+        out[s : s + n] = unpack(view[s * nbytes : (s + n) * nbytes], n, count, size, nbits)
+    return out.reshape(frames, cfg.num_groups, cfg.num_residuals)
+
+
+def _unpack_fixed_width(chunk, frames: int, count: int, size: int, nbits: int) -> np.ndarray:
+    width = (size - 1).bit_length()
+    nb = _field_bytes(width)
+    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8).reshape(frames, -1), axis=1)
+    bad = bits[:, nbits:].any(axis=1)  # nonzero padding
+    fields = np.zeros((frames, count, nb * 8), dtype=np.uint8)
+    fields[:, :, nb * 8 - width :] = bits[:, :nbits].reshape(frames, count, width)
+    values = np.packbits(fields.reshape(-1)).view(f">u{nb}").reshape(frames, count)
+    over = (values >= size).any(axis=1)
+    if bad.any() or over.any():
+        t = int((bad | over).argmax())
+        raise CorruptStream(
+            "nonzero padding bits" if bad[t] else "packed index exceeds codebook range"
+        )
+    return values
+
+
+def _unpack_mixed_radix(chunk, frames: int, count: int, size: int, nbits: int) -> np.ndarray:
+    k = _limb_digits(size)
+    limbs_per_frame = -(-count // k)
+    base = size**k
+    top = size ** (count - (limbs_per_frame - 1) * k)  # the last limb holds fewer digits
+    nbytes = (nbits + 7) // 8
+    pad = nbytes * 8 - nbits
+    pad_mask = (1 << pad) - 1
+    rows = []
+    for off in range(0, frames * nbytes, nbytes):
+        value = int.from_bytes(chunk[off : off + nbytes], "big")
+        if value & pad_mask:
+            raise CorruptStream("nonzero padding bits")
+        value >>= pad
+        row = []
+        for _ in range(limbs_per_frame - 1):
+            value, limb = divmod(value, base)
+            row.append(limb)
+        if value >= top:
+            raise CorruptStream("packed value exceeds codebook range")
+        row.append(value)
+        rows.append(row)
+    limbs = np.array(rows, dtype=np.uint64).reshape(frames, limbs_per_frame)
+    powers = np.array([size**j for j in range(k)], dtype=np.uint64)
+    digits = limbs[:, :, None] // powers % np.uint64(size)
+    return digits.reshape(frames, limbs_per_frame * k)[:, :count]
 
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
     """Pack one frame's G*R indices into its fixed-size block."""
-    flat = _flat_indices(indices, cfg)
-    nbits = frame_bits(cfg, mode)
-    nbytes = (nbits + 7) // 8
-    if mode == MODE_MIXED_RADIX:
-        base = cfg.codebook_size
-        value = 0
-        for digit in reversed(flat):  # digit 0 is least significant
-            value = value * base + digit
-    else:
-        width = (cfg.codebook_size - 1).bit_length()
-        value = 0
-        for idx in flat:  # first index occupies the most significant bits
-            value = (value << width) | idx
-    pad = nbytes * 8 - nbits
-    return (value << pad).to_bytes(nbytes, "big")
+    arr = np.asarray(indices)
+    count = cfg.num_groups * cfg.num_residuals
+    if arr.shape not in ((cfg.num_groups, cfg.num_residuals), (count,)):
+        raise InvalidInput(
+            f"expected {count} indices or shape "
+            f"({cfg.num_groups}, {cfg.num_residuals}), got {arr.shape}"
+        )
+    return b"".join(_pack_blocks(arr.reshape(1, count), cfg, mode))
 
 
 def frame_unpack(block: bytes, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> np.ndarray:
     """Invert :func:`frame_pack`; padding bits must be zero."""
-    nbits = frame_bits(cfg, mode)
-    nbytes = (nbits + 7) // 8
+    nbytes = frame_block_bytes(cfg, mode)
     if len(block) != nbytes:
         raise CorruptStream(f"block is {len(block)} bytes, expected {nbytes}")
-    value = int.from_bytes(block, "big")
-    pad = nbytes * 8 - nbits
-    if value & ((1 << pad) - 1):
-        raise CorruptStream("nonzero padding bits")
-    value >>= pad
-    count = cfg.num_groups * cfg.num_residuals
-    size = cfg.codebook_size
-    flat = [0] * count
-    if mode == MODE_MIXED_RADIX:
-        for j in range(count):
-            value, flat[j] = divmod(value, size)
-        if value:
-            raise CorruptStream("packed value exceeds codebook range")
-    else:
-        width = (size - 1).bit_length()
-        mask = (1 << width) - 1
-        for j in reversed(range(count)):
-            flat[j] = value & mask
-            value >>= width
-        if any(v >= size for v in flat):
-            raise CorruptStream("packed index exceeds codebook range")
-    return np.asarray(flat, dtype=np.int64).reshape(cfg.num_groups, cfg.num_residuals)
+    return _unpack_blocks(block, cfg, mode)[0]
 
 
 def _encode_header(header: StreamHeader) -> bytes:
@@ -242,19 +331,23 @@ def _decode_header(source) -> StreamHeader:
 
 
 def write_stream(header: StreamHeader, tensor, sink) -> int:
-    """Write header plus one packed block per frame; returns bytes written."""
+    """Write header plus one packed block per frame; returns bytes written.
+
+    Every index is checked before anything is written, so a bad index
+    leaves the sink untouched."""
     arr = np.asarray(tensor)
     cfg = header.config
     expected = (header.frame_count, cfg.num_groups, cfg.num_residuals)
     if arr.shape != expected:
         raise ConfigMismatch(f"tensor shape {arr.shape} does not match header {expected}")
+    count = cfg.num_groups * cfg.num_residuals
+    runs = _pack_blocks(arr.reshape(header.frame_count, count), cfg, header.packing_mode)
     raw = _encode_header(header)
     sink.write(raw)
     total = len(raw)
-    for t in range(header.frame_count):
-        block = frame_pack(arr[t], cfg, header.packing_mode)
-        sink.write(block)
-        total += len(block)
+    for run in runs:
+        sink.write(run)
+        total += len(run)
     return total
 
 
@@ -273,10 +366,4 @@ def read_stream(source) -> tuple[StreamHeader, np.ndarray]:
         raise CorruptStream(f"truncated payload: wanted {expected} bytes, got {len(payload)}")
     if len(payload) > expected:
         raise CorruptStream(f"trailing data: {len(payload) - expected} bytes after final block")
-    tensor = np.empty(
-        (header.frame_count, cfg.num_groups, cfg.num_residuals), dtype=np.int64
-    )
-    for t in range(header.frame_count):
-        block = payload[t * nbytes : (t + 1) * nbytes]
-        tensor[t] = frame_unpack(block, cfg, header.packing_mode)
-    return header, tensor
+    return header, _unpack_blocks(payload, cfg, header.packing_mode)

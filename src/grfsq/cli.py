@@ -68,13 +68,16 @@ def _load_frames(path: str) -> np.ndarray:
             else:
                 try:
                     row = json.loads(text)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # also an integer past Python's digit limit
                     raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
                 if not isinstance(row, list) or not all(
                     isinstance(v, (int, float)) for v in row
                 ):
                     raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
-                row = [float(v) for v in row]
+                try:
+                    row = [float(v) for v in row]
+                except OverflowError:
+                    raise InvalidInput(f"{path}:{lineno}: integer too large for a float") from None
             if not all(math.isfinite(v) for v in row):
                 raise InvalidInput(f"{path}:{lineno}: non-finite value")
             if rows and len(row) != len(rows[0]):

@@ -20,6 +20,7 @@ from .errors import InvalidInput, PredictorContractViolation
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
 DEFAULT_TOKEN_RATE = 25.0
+_GRID_BLOCK_CELLS = 1 << 16  # grid cells per block when a (T, G, C) grid is streamed
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +183,27 @@ def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: i
         raise InvalidInput(f"grid covers {arr.shape[0]} frames, expected {num_frames}")
     if num_groups is not None and arr.shape[1] != num_groups:
         raise InvalidInput(f"grid has {arr.shape[1]} groups, expected {num_groups}")
-    if arr.size:
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    # One pass in cache-sized blocks of frames. A bad value anywhere wins
+    # over a bad row sum, so a row-sum failure is only reported at the end.
+    rows_ok = True
+    for rows in _frame_slices(arr) if arr.size else ():
+        block = arr[rows]
+        if not (block.min() >= 0.0 and math.isfinite(block.max())):  # NaN fails both
             raise InvalidInput("probabilities must be finite and non-negative")
-        sums = arr.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
+        if rows_ok:
+            rows_ok = not np.any(np.abs(block.sum(axis=2) - 1.0) > 1e-9)
+    if not rows_ok:
+        raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
     return arr
+
+
+def _frame_slices(grid: np.ndarray):
+    """Consecutive frame ranges of a (T, G, C) grid, each about
+    `_GRID_BLOCK_CELLS` cells, so a pass over one block stays in cache."""
+    T, G, C = grid.shape
+    step = max(1, _GRID_BLOCK_CELLS // max(G * C, 1))
+    for s in range(0, T, step):
+        yield slice(s, s + step)
 
 
 def nll(predictions, targets) -> float:
@@ -322,7 +337,8 @@ class BigramPredictor:
     target given the frame's speech token. Each channel is a table of
     smoothed, normalized rows, one per symbol seen in training (sorted keys)
     plus a last count-free row, exactly uniform, that unseen symbols fall
-    back to. Prediction gathers rows; nothing loops over frames or groups.
+    back to. Prediction gathers rows; nothing loops over frames or groups,
+    and the grid is bit-identical to normalizing every cell's row on its own.
     """
 
     def __init__(self, num_classes: int, num_layers: int):
@@ -365,10 +381,35 @@ class BigramPredictor:
         speech_tokens = context.framewise[:, 0].astype(np.int64)
         prev_keys, prev_table = self._prev_tables[layer]
         speech_keys, speech_table = self._speech_tables[layer]
-        grid = prev_table[_table_rows(prev_keys, context.prev_layer_tokens)]
-        grid *= speech_table[_table_rows(speech_keys, speech_tokens)][:, None, :]
-        grid /= grid.sum(axis=2, keepdims=True)
+        prev_rows = _table_rows(prev_keys, context.prev_layer_tokens)
+        speech_rows = _table_rows(speech_keys, speech_tokens)[:, None]
+        grid = np.empty(prev_rows.shape + (self.num_classes,))
+        # A cell's row depends only on its (prev row, speech row) pair. In
+        # layered generation each layer's tokens are a function of the speech
+        # token, so pairs repeat; then each distinct row is built once and
+        # gathered. With more distinct pairs than frames, rows are built in
+        # cache-sized blocks instead, so extra memory stays within (T, C).
+        # Row indices are in range: mode="clip" only skips the buffered
+        # bounds check that `take` makes when it writes into `out`.
+        n_speech = speech_table.shape[0]
+        pairs, which = np.unique(prev_rows * n_speech + speech_rows, return_inverse=True)
+        if pairs.size <= grid.shape[0]:
+            joint = _joint_rows(prev_table, pairs // n_speech, speech_table, pairs % n_speech)
+            np.take(joint, which.reshape(prev_rows.shape), axis=0, out=grid, mode="clip")
+        else:
+            for rows in _frame_slices(grid):  # one cache-sized block at a time
+                _joint_rows(
+                    prev_table, prev_rows[rows], speech_table, speech_rows[rows], out=grid[rows]
+                )
         return grid
+
+
+def _joint_rows(prev_table, prev_rows, speech_table, speech_rows, out=None) -> np.ndarray:
+    """Product of the two channels' rows, renormalized; row indices broadcast."""
+    out = np.take(prev_table, prev_rows, axis=0, out=out, mode="clip")
+    out *= speech_table[speech_rows]
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _channel_table(symbols, targets, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -414,6 +455,14 @@ def load_speech_tokens(
     return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab, rate=rate)
 
 
+def _finite_float(value) -> bool:
+    """Whether a JSON number is a finite float; integers too large for a float are not."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def load_controls(path) -> ControlTrack:
     """Read JSON-lines control records with fields h (3), g (2), b (2)."""
     h, g, b = [], [], []
@@ -424,7 +473,7 @@ def load_controls(path) -> ControlTrack:
                 continue
             try:
                 record = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an integer past Python's digit limit
                 raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(record, dict):
                 raise InvalidInput(f"{path}:{lineno}: expected a JSON object")
@@ -434,7 +483,7 @@ def load_controls(path) -> ControlTrack:
                     not isinstance(value, list)
                     or len(value) != width
                     or not all(isinstance(v, (int, float)) for v in value)
-                    or not all(math.isfinite(float(v)) for v in value)
+                    or not all(_finite_float(v) for v in value)
                 ):
                     raise InvalidInput(
                         f"{path}:{lineno}: field {key!r} must be {width} finite numbers"

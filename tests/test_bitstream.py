@@ -21,6 +21,7 @@ from grfsq.bitstream import (
 from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex
 from grfsq.fsq import LevelSpec
 from grfsq.quantizer import GrfsqConfig
+from reference_packer import reference_pack, reference_unpack
 
 DEFAULT = GrfsqConfig(12, 4, LevelSpec((5, 5, 5, 5)), 4)
 TINY = GrfsqConfig(1, 1, LevelSpec((2,)), 1)
@@ -334,3 +335,132 @@ class TestCorruptionDetection:
         assert raw[:4] == b"GRFQ"
         (fps,) = struct.unpack("<f", raw[20:24])
         assert fps == 25.0
+
+
+def payload_of(header, tensor) -> bytes:
+    """The packed payload `write_stream` writes after the header."""
+    empty = io.BytesIO()
+    write_stream(StreamHeader(header.config, 0, header.fps, header.packing_mode), tensor[:0], empty)
+    buf = io.BytesIO()
+    write_stream(header, tensor, buf)
+    return buf.getvalue()[len(empty.getvalue()) :]
+
+
+class TestBatchPackerMatchesReference:
+    """The whole-payload packer equals the per-frame big-integer reference
+    byte for byte, in both directions and both modes."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_frame_reference(self, data):
+        levels = data.draw(
+            st.one_of(
+                st.lists(st.integers(2, 9), min_size=1, max_size=4),
+                st.lists(st.integers(2, 255), min_size=1, max_size=8),
+                # the largest codebook a config allows: 255**7 * 131 is just
+                # under 2**63, so each mixed-radix limb holds a single digit
+                st.just([255] * 7 + [131]),
+            )
+        )
+        cfg = GrfsqConfig(
+            data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4)),
+            LevelSpec(tuple(levels)), len(levels),
+        )
+        mode = data.draw(st.sampled_from([MODE_MIXED_RADIX, MODE_FIXED_WIDTH]))
+        T = data.draw(st.sampled_from([0, 1, 257]))
+        size = cfg.codebook_size
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (T, cfg.num_groups, cfg.num_residuals)
+        tensor = rng.integers(0, size, size=shape, dtype=np.int64)
+        if T:
+            tensor[0] = size - 1  # every digit at its maximum
+            tensor[-1, 0, 0] = 0
+        header = StreamHeader(config=cfg, frame_count=T, fps=25.0, packing_mode=mode)
+
+        nbytes = frame_block_bytes(cfg, mode)
+        blocks = [reference_pack(frame.reshape(-1).tolist(), cfg, mode) for frame in tensor]
+        payload = payload_of(header, tensor)
+        assert payload == b"".join(blocks)
+        assert len(payload) == T * nbytes
+
+        buf = io.BytesIO()
+        write_stream(header, tensor, buf)
+        buf.seek(0)
+        _, got = read_stream(buf)
+        assert got.shape == shape
+        assert got.tolist() == [reference_unpack(b, cfg, mode) for b in blocks]
+        if T:
+            assert frame_pack(tensor[-1], cfg, mode) == blocks[-1]
+            assert frame_unpack(blocks[-1], cfg, mode).tolist() == reference_unpack(
+                blocks[-1], cfg, mode
+            )
+
+    PADDED_FIXED = GrfsqConfig(1, 3, LevelSpec((5,)), 1)  # 3 x 3 bits in 2 bytes
+
+    @staticmethod
+    def corrupt(cfg, mode, frame_count, damage):
+        """A valid stream whose frames are edited by damage(block, t) -> block."""
+        tensor = np.random.default_rng(27).integers(
+            0, cfg.codebook_size, size=(frame_count, cfg.num_groups, cfg.num_residuals)
+        )
+        header = StreamHeader(config=cfg, frame_count=frame_count, fps=25.0, packing_mode=mode)
+        nbytes = frame_block_bytes(cfg, mode)
+        payload = payload_of(header, tensor)
+        raw = io.BytesIO()
+        write_stream(header, tensor, raw)
+        head = raw.getvalue()[: -len(payload)]
+        blocks = [payload[t * nbytes : (t + 1) * nbytes] for t in range(frame_count)]
+        return head + b"".join(damage(block, t) for t, block in enumerate(blocks))
+
+    @staticmethod
+    def set_padding(block: bytes) -> bytes:
+        return block[:-1] + bytes([block[-1] | 0x01])
+
+    @staticmethod
+    def overflow(cfg, mode):
+        """A block whose value is past the codebook range, padding still zero."""
+        nbits = frame_bits(cfg, mode)
+        nbytes = frame_block_bytes(cfg, mode)
+        if mode == MODE_MIXED_RADIX:
+            value = (1 << nbits) - 1  # >= size**count, since nbits is the minimum
+        else:
+            width = (cfg.codebook_size - 1).bit_length()
+            value = ((1 << width) - 1) << (nbits - width)  # first index all ones
+        return (value << (nbytes * 8 - nbits)).to_bytes(nbytes, "big")
+
+    @pytest.mark.parametrize(
+        "cfg, mode",
+        [(DEFAULT, MODE_MIXED_RADIX), (PADDED_FIXED, MODE_FIXED_WIDTH)],
+        ids=["mixed-radix", "fixed-width"],
+    )
+    @pytest.mark.parametrize("kind", ["padding", "range"])
+    def test_corruption_in_a_later_frame(self, cfg, mode, kind):
+        assert frame_block_bytes(cfg, mode) * 8 > frame_bits(cfg, mode)  # has padding
+        bad = self.overflow(cfg, mode)
+
+        def damage(block, t):
+            if t != 3:
+                return block
+            return self.set_padding(block) if kind == "padding" else bad
+
+        raw = self.corrupt(cfg, mode, 600, damage)  # frame 3 of 600, past one pass
+        match = "padding" if kind == "padding" else "codebook range"
+        with pytest.raises(CorruptStream, match=match):
+            read_stream(io.BytesIO(raw))
+
+    @pytest.mark.parametrize(
+        "cfg, mode",
+        [(DEFAULT, MODE_MIXED_RADIX), (PADDED_FIXED, MODE_FIXED_WIDTH)],
+        ids=["mixed-radix", "fixed-width"],
+    )
+    def test_first_bad_frame_is_reported(self, cfg, mode):
+        bad = self.overflow(cfg, mode)
+
+        def damage(block, t):
+            if t == 2:
+                return bad
+            return self.set_padding(block) if t in (5, 599) else block
+
+        raw = self.corrupt(cfg, mode, 600, damage)
+        with pytest.raises(CorruptStream, match="codebook range"):
+            read_stream(io.BytesIO(raw))

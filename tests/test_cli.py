@@ -74,6 +74,19 @@ class TestEncode:
         assert code == 2
         assert ":2" in stderr
 
+    @pytest.mark.parametrize("literal", ["1" * 400, "1" * 5000])
+    def test_integer_too_large_for_float_exits_2(self, tmp_path, capsys, literal):
+        # 400 digits overflow float(); 5000 digits pass Python's int parsing limit
+        path = tmp_path / "big.jsonl"
+        path.write_text(f"[0.0, 0.0]\n[0.0, {literal}]\n")
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out),
+                                   "--groups", "1", "--levels", "5,5")
+        assert code == 2
+        assert f"{path}:2" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
     def test_indivisible_dimension_exits_3(self, tmp_path, capsys):
         path = tmp_path / "frames.jsonl"
         write_jsonl_frames(path, np.zeros((5, 47)))
@@ -358,6 +371,20 @@ class TestScheduleSim:
             "--out", str(tmp_path / "x.grfq"),
         )
         assert code == 2
+
+    @pytest.mark.parametrize("literal", ["1" * 400, "1" * 5000])
+    def test_control_integer_too_large_for_float_exits_2(self, tmp_path, capsys, literal):
+        speech, controls = self.write_speech_and_controls(tmp_path, 3)
+        lines = controls.read_text().splitlines()
+        lines[1] = '{"h": [0.0, %s, 0.0], "g": [0.0, 0.0], "b": [0.0, 0.0]}' % literal
+        controls.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--vocab", "32",
+        )
+        assert code == 2
+        assert f"{controls}:2" in stderr
+        assert stdout == ""
 
     def test_bigram_requires_training_flags(self, tmp_path, capsys):
         speech, controls = self.write_speech_and_controls(tmp_path, 5)

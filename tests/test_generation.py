@@ -19,6 +19,7 @@ from grfsq.generation import (
     load_controls,
     load_speech_tokens,
     nll,
+    validate_prediction_grid,
 )
 from grfsq.quantizer import GrfsqConfig, quantize_sequence
 from recording_predictor import RecordingPredictor
@@ -281,6 +282,104 @@ class TestGenerateValidatesOnce:
             assert layer_nll[r] == nll(grid, argmax_sample(grid))
 
 
+def full_array_verdict(grid):
+    """The validation verdict computed over the whole array at once."""
+    arr = np.asarray(grid, dtype=np.float64)
+    if arr.size:
+        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+            return "probabilities must be finite and non-negative"
+        if np.any(np.abs(arr.sum(axis=2) - 1.0) > 1e-9):
+            return "each (frame, group) row must sum to 1 within 1e-9"
+    return None
+
+
+def blocked_verdict(grid):
+    try:
+        validate_prediction_grid(grid)
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+class TestBlockedValidation:
+    """validate_prediction_grid streams the grid in blocks of frames and
+    reaches the verdict, and the message, of a check over the whole array."""
+
+    G, C = 3, 4  # 12 cells per frame
+
+    @pytest.fixture
+    def four_frame_blocks(self, monkeypatch):
+        import grfsq.generation as generation
+
+        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", 4 * self.G * self.C)
+
+    def uniform(self, T):
+        return np.full((T, self.G, self.C), 1.0 / self.C)
+
+    @pytest.mark.parametrize("T", [0, 1, 3, 4, 5, 13])
+    def test_valid_grids_of_any_length(self, four_frame_blocks, T):
+        grid = self.uniform(T)
+        assert validate_prediction_grid(grid, num_frames=T, num_groups=self.G) is grid
+
+    def test_frames_not_a_multiple_of_the_real_block(self):
+        from grfsq.generation import _GRID_BLOCK_CELLS
+
+        per_block = _GRID_BLOCK_CELLS // (self.G * self.C)
+        T = 2 * per_block + 5
+        grid = self.uniform(T)
+        assert validate_prediction_grid(grid) is grid
+        grid[-1, -1, -1] = np.nan
+        with pytest.raises(InvalidInput, match="finite"):
+            validate_prediction_grid(grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_bad_value_in_last_block_only(self, four_frame_blocks, bad):
+        grid = self.uniform(13)  # blocks of 4, 4, 4 and 1 frames
+        grid[12, 2, 3] = bad
+        with pytest.raises(InvalidInput, match="finite and non-negative"):
+            validate_prediction_grid(grid)
+
+    def test_row_sum_in_earlier_block_loses_to_later_nan(self, four_frame_blocks):
+        grid = self.uniform(13)
+        grid[1, 0, 0] = 0.3  # bad row sum in the first block
+        with pytest.raises(InvalidInput, match="sum to 1"):
+            validate_prediction_grid(grid)
+        grid[9, 1, 2] = np.nan  # a later block holds a non-finite value
+        with pytest.raises(InvalidInput, match="finite"):
+            validate_prediction_grid(grid)
+
+    def test_random_damage_matches_whole_array_check(self, four_frame_blocks):
+        rng = np.random.default_rng(58)
+        for _ in range(300):
+            T = int(rng.integers(0, 14))
+            grid = rng.dirichlet(np.ones(self.C), size=(T, self.G))
+            for _ in range(int(rng.integers(0, 3))):
+                if T:
+                    cell = (rng.integers(T), rng.integers(self.G), rng.integers(self.C))
+                    grid[cell] = rng.choice([np.nan, np.inf, -0.5, 0.5, grid[cell] + 1e-8])
+            assert blocked_verdict(grid) == full_array_verdict(grid)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
+    def test_non_float64_grids_from_a_predictor(self, four_frame_blocks, dtype):
+        T = 10
+        speech, controls = make_inputs(T)
+        target = np.random.default_rng(59).integers(0, self.C, size=(T, self.G, 2))
+        echo = EchoPredictor(target, num_classes=self.C)  # one-hot rows
+
+        def cast(context):
+            grid = echo(context)
+            if dtype is np.float32:  # quarters are exact in single precision
+                grid = 0.5 * grid + 0.125
+            return grid.astype(dtype)
+
+        out, layer_nll = generate(
+            cast, np.zeros(2), speech, controls, num_layers=2, num_groups=self.G, with_nll=True
+        )
+        assert np.array_equal(out, target)
+        expected = 0.0 if dtype is not np.float32 else -T * self.G * math.log(0.625)
+        assert layer_nll.tolist() == pytest.approx([expected, expected])
+
+
 class TestBigramMatchesReference:
     """The table-gather predictor equals the per-(t, g) dict reference bit for bit."""
 
@@ -333,6 +432,43 @@ class TestBigramMatchesReference:
             prev[1, 0] = train[0, 0, 0]  # and at least one seen key
             prev_layers.append(prev)
         self.assert_predictions_match(model, ref, speech, prev_layers)
+
+    @pytest.mark.parametrize("frames_per_block", [1, 3, 40])
+    def test_predict_in_blocks(self, monkeypatch, frames_per_block):
+        import grfsq.generation as generation
+
+        T, G, R, C, vocab = 41, 3, 2, 50, 16
+        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", frames_per_block * G * C)
+        rng = np.random.default_rng(60)
+        train = rng.integers(0, C, size=(T, G, R))
+        train_speech = rng.integers(0, vocab, T)
+        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
+        ref = ReferenceBigram.fit(train, train_speech, C)
+        speech = SpeechTokenSeq(tokens=rng.integers(0, vocab, T), vocab=vocab)
+        prev_layers = [np.zeros((T, G), dtype=np.int64), rng.integers(0, C, size=(T, G))]
+        self.assert_predictions_match(model, ref, speech, prev_layers)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_distinct_pairs_around_frame_count(self, extra):
+        # at most T distinct (prev, speech) pairs: rows are built once and
+        # gathered; one more and they are built block by block
+        T, G, R, C, vocab = 12, 4, 2, 30, 16
+        rng = np.random.default_rng(61)
+        train = rng.integers(0, C, size=(T, G, R))
+        train_speech = np.arange(T)  # every speech token below is seen in training
+        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
+        ref = ReferenceBigram.fit(train, train_speech, C)
+        seen = train[:, :, 0]  # layer-1 keys, so no two previous tokens share a row
+        tokens = np.arange(T)
+        prev = np.repeat(seen[:, :1], G, axis=1)  # one pair per frame
+        if extra > 0:
+            prev[0, 1] = next(v for v in seen.ravel() if v != prev[0, 0])
+        if extra < 0:
+            tokens[-1], prev[-1] = tokens[-2], prev[-2]
+        pairs = {(int(p), int(s)) for row, s in zip(prev, tokens) for p in row}
+        assert len(pairs) == T + extra
+        speech = SpeechTokenSeq(tokens=tokens, vocab=vocab)
+        self.assert_predictions_match(model, ref, speech, [np.zeros((T, G), dtype=np.int64), prev])
 
     def test_unfitted_model(self):
         model, ref = BigramPredictor(num_classes=7, num_layers=2), ReferenceBigram(7, 2)
