@@ -74,11 +74,8 @@ def _load_frames(path: str) -> np.ndarray:
                     isinstance(v, (int, float)) for v in row
                 ):
                     raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
-                try:
-                    row = [float(v) for v in row]
-                except OverflowError:
-                    raise InvalidInput(f"{path}:{lineno}: integer too large for a float") from None
-            if not all(math.isfinite(v) for v in row):
+            row = generation._finite_floats(row)
+            if row is None:
                 raise InvalidInput(f"{path}:{lineno}: non-finite value")
             if rows and len(row) != len(rows[0]):
                 raise InvalidInput(

@@ -20,7 +20,7 @@ from .errors import InvalidInput, PredictorContractViolation
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
 DEFAULT_TOKEN_RATE = 25.0
-_GRID_BLOCK_CELLS = 1 << 16  # grid cells per block when a (T, G, C) grid is streamed
+_GRID_BLOCK_CELLS = 1 << 16  # grid cells per block, so a validation pass stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +185,11 @@ def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: i
         raise InvalidInput(f"grid has {arr.shape[1]} groups, expected {num_groups}")
     # One pass in cache-sized blocks of frames. A bad value anywhere wins
     # over a bad row sum, so a row-sum failure is only reported at the end.
+    T, G, C = arr.shape
+    step = max(1, _GRID_BLOCK_CELLS // max(G * C, 1))
     rows_ok = True
-    for rows in _frame_slices(arr) if arr.size else ():
-        block = arr[rows]
+    for start in range(0, T if arr.size else 0, step):
+        block = arr[start : start + step]
         if not (block.min() >= 0.0 and math.isfinite(block.max())):  # NaN fails both
             raise InvalidInput("probabilities must be finite and non-negative")
         if rows_ok:
@@ -195,15 +197,6 @@ def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: i
     if not rows_ok:
         raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
     return arr
-
-
-def _frame_slices(grid: np.ndarray):
-    """Consecutive frame ranges of a (T, G, C) grid, each about
-    `_GRID_BLOCK_CELLS` cells, so a pass over one block stays in cache."""
-    T, G, C = grid.shape
-    step = max(1, _GRID_BLOCK_CELLS // max(G * C, 1))
-    for s in range(0, T, step):
-        yield slice(s, s + step)
 
 
 def nll(predictions, targets) -> float:
@@ -383,33 +376,13 @@ class BigramPredictor:
         speech_keys, speech_table = self._speech_tables[layer]
         prev_rows = _table_rows(prev_keys, context.prev_layer_tokens)
         speech_rows = _table_rows(speech_keys, speech_tokens)[:, None]
-        grid = np.empty(prev_rows.shape + (self.num_classes,))
-        # A cell's row depends only on its (prev row, speech row) pair. In
-        # layered generation each layer's tokens are a function of the speech
-        # token, so pairs repeat; then each distinct row is built once and
-        # gathered. With more distinct pairs than frames, rows are built in
-        # cache-sized blocks instead, so extra memory stays within (T, C).
-        # Row indices are in range: mode="clip" only skips the buffered
-        # bounds check that `take` makes when it writes into `out`.
+        # A cell's row depends only on its (prev row, speech row) pair, so
+        # each distinct pair's row is built and normalized once, then gathered.
         n_speech = speech_table.shape[0]
         pairs, which = np.unique(prev_rows * n_speech + speech_rows, return_inverse=True)
-        if pairs.size <= grid.shape[0]:
-            joint = _joint_rows(prev_table, pairs // n_speech, speech_table, pairs % n_speech)
-            np.take(joint, which.reshape(prev_rows.shape), axis=0, out=grid, mode="clip")
-        else:
-            for rows in _frame_slices(grid):  # one cache-sized block at a time
-                _joint_rows(
-                    prev_table, prev_rows[rows], speech_table, speech_rows[rows], out=grid[rows]
-                )
-        return grid
-
-
-def _joint_rows(prev_table, prev_rows, speech_table, speech_rows, out=None) -> np.ndarray:
-    """Product of the two channels' rows, renormalized; row indices broadcast."""
-    out = np.take(prev_table, prev_rows, axis=0, out=out, mode="clip")
-    out *= speech_table[speech_rows]
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+        joint = prev_table[pairs // n_speech] * speech_table[pairs % n_speech]
+        joint /= joint.sum(axis=1, keepdims=True)
+        return joint[which.reshape(prev_rows.shape)]
 
 
 def _channel_table(symbols, targets, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -455,12 +428,14 @@ def load_speech_tokens(
     return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab, rate=rate)
 
 
-def _finite_float(value) -> bool:
-    """Whether a JSON number is a finite float; integers too large for a float are not."""
+def _finite_floats(values) -> list[float] | None:
+    """Numbers as floats, or None if any is not finite; an integer too large
+    for a float (JSON allows one) counts as not finite."""
     try:
-        return math.isfinite(float(value))
+        floats = [float(v) for v in values]
     except OverflowError:
-        return False
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
 
 
 def load_controls(path) -> ControlTrack:
@@ -479,16 +454,18 @@ def load_controls(path) -> ControlTrack:
                 raise InvalidInput(f"{path}:{lineno}: expected a JSON object")
             for key, dest, width in (("h", h, 3), ("g", g, 2), ("b", b, 2)):
                 value = record.get(key)
-                if (
-                    not isinstance(value, list)
-                    or len(value) != width
-                    or not all(isinstance(v, (int, float)) for v in value)
-                    or not all(_finite_float(v) for v in value)
-                ):
+                floats = (
+                    _finite_floats(value)
+                    if isinstance(value, list)
+                    and len(value) == width
+                    and all(isinstance(v, (int, float)) for v in value)
+                    else None
+                )
+                if floats is None:
                     raise InvalidInput(
                         f"{path}:{lineno}: field {key!r} must be {width} finite numbers"
                     )
-                dest.append([float(v) for v in value])
+                dest.append(floats)
     return ControlTrack(
         head_pose=np.asarray(h, dtype=np.float64).reshape(len(h), 3),
         gaze=np.asarray(g, dtype=np.float64).reshape(len(g), 2),

@@ -433,43 +433,6 @@ class TestBigramMatchesReference:
             prev_layers.append(prev)
         self.assert_predictions_match(model, ref, speech, prev_layers)
 
-    @pytest.mark.parametrize("frames_per_block", [1, 3, 40])
-    def test_predict_in_blocks(self, monkeypatch, frames_per_block):
-        import grfsq.generation as generation
-
-        T, G, R, C, vocab = 41, 3, 2, 50, 16
-        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", frames_per_block * G * C)
-        rng = np.random.default_rng(60)
-        train = rng.integers(0, C, size=(T, G, R))
-        train_speech = rng.integers(0, vocab, T)
-        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
-        ref = ReferenceBigram.fit(train, train_speech, C)
-        speech = SpeechTokenSeq(tokens=rng.integers(0, vocab, T), vocab=vocab)
-        prev_layers = [np.zeros((T, G), dtype=np.int64), rng.integers(0, C, size=(T, G))]
-        self.assert_predictions_match(model, ref, speech, prev_layers)
-
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_distinct_pairs_around_frame_count(self, extra):
-        # at most T distinct (prev, speech) pairs: rows are built once and
-        # gathered; one more and they are built block by block
-        T, G, R, C, vocab = 12, 4, 2, 30, 16
-        rng = np.random.default_rng(61)
-        train = rng.integers(0, C, size=(T, G, R))
-        train_speech = np.arange(T)  # every speech token below is seen in training
-        model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
-        ref = ReferenceBigram.fit(train, train_speech, C)
-        seen = train[:, :, 0]  # layer-1 keys, so no two previous tokens share a row
-        tokens = np.arange(T)
-        prev = np.repeat(seen[:, :1], G, axis=1)  # one pair per frame
-        if extra > 0:
-            prev[0, 1] = next(v for v in seen.ravel() if v != prev[0, 0])
-        if extra < 0:
-            tokens[-1], prev[-1] = tokens[-2], prev[-2]
-        pairs = {(int(p), int(s)) for row, s in zip(prev, tokens) for p in row}
-        assert len(pairs) == T + extra
-        speech = SpeechTokenSeq(tokens=tokens, vocab=vocab)
-        self.assert_predictions_match(model, ref, speech, [np.zeros((T, G), dtype=np.int64), prev])
-
     def test_unfitted_model(self):
         model, ref = BigramPredictor(num_classes=7, num_layers=2), ReferenceBigram(7, 2)
         self.assert_tables_match(model, ref)
