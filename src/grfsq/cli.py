@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -53,7 +54,8 @@ _CONFIG_ERRORS = (
 
 
 def _load_frames(path: str) -> np.ndarray:
-    rows: list[list[float]] = []
+    values = array("d")  # 8 bytes per value, not a list of float objects
+    frames, width = 0, 0
     is_csv = str(path).lower().endswith(".csv")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -77,14 +79,15 @@ def _load_frames(path: str) -> np.ndarray:
             row = generation._finite_floats(row)
             if row is None:
                 raise InvalidInput(f"{path}:{lineno}: non-finite value")
-            if rows and len(row) != len(rows[0]):
+            if frames and len(row) != width:
                 raise InvalidInput(
-                    f"{path}:{lineno}: ragged frame, {len(row)} values vs {len(rows[0])}"
+                    f"{path}:{lineno}: ragged frame, {len(row)} values vs {width}"
                 )
-            rows.append(row)
-    if not rows:
+            frames, width = frames + 1, len(row)
+            values.extend(row)
+    if not frames:
         raise InvalidInput(f"{path}: no frames found")
-    return np.asarray(rows, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(frames, width)
 
 
 def _write_frames(path: str, frames: np.ndarray) -> None:

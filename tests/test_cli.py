@@ -28,6 +28,32 @@ def frames48(tmp_path):
     return path, frames
 
 
+class TestLoadFrames:
+    def test_jsonl_and_csv_read_back_exactly(self, tmp_path):
+        from grfsq.cli import _load_frames
+
+        frames = np.random.default_rng(62).uniform(-3, 3, size=(7, 5))
+        frames[0, :2] = [0.0, -1.0]
+        jsonl, csv_path = tmp_path / "f.jsonl", tmp_path / "f.csv"
+        # integers and floats may mix in a JSON row
+        jsonl.write_text("".join(
+            json.dumps([0, -1, *map(float, row[2:])] if t == 0 else row.tolist()) + "\n"
+            for t, row in enumerate(frames)
+        ))
+        csv_path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in frames))
+        for path in (jsonl, csv_path):
+            got = _load_frames(str(path))
+            assert got.dtype == np.float64 and got.shape == (7, 5)
+            assert np.array_equal(got, frames)
+
+    def test_rows_of_no_values(self, tmp_path):
+        from grfsq.cli import _load_frames
+
+        path = tmp_path / "empty_rows.jsonl"
+        path.write_text("[]\n\n[]\n")
+        assert _load_frames(str(path)).shape == (2, 0)
+
+
 class TestEncode:
     def test_zero_frames_defaults(self, tmp_path, capsys):
         path = tmp_path / "zeros.jsonl"
