@@ -12,13 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex
-from .quantizer import (
-    UtilizationReport,
-    _frames_array,
-    _token_bitrate,
-    _utilization_percent,
-)
+from .errors import ConfigMismatch, CorruptStream, InvalidConfig
+from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utilization
 
 SCHEMES = ("vq", "gvq", "rvq", "grvq")
 
@@ -70,14 +65,79 @@ class BaselineConfig:
 
 
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row by expanded squared distance; ties -> lowest index."""
-    labels = np.empty(len(data), dtype=np.int64)
-    c2 = (centers**2).sum(axis=1)
-    for s in range(0, len(data), _CHUNK):
-        e = min(len(data), s + _CHUNK)
-        d = c2[None, :] - 2.0 * (data[s:e] @ centers.T)
-        labels[s:e] = d.argmin(axis=1)
+    """Nearest centroid per row of each group, (G, n, d) x (G, k, d) -> (G, n),
+    by expanded squared distance; ties -> lowest index. Blocks of _CHUNK / G
+    rows keep the (G, rows, k) distance block near _CHUNK x k values."""
+    G, n, _ = data.shape
+    labels = np.empty((G, n), dtype=np.int64)
+    c2 = (centers**2).sum(axis=2)[:, None, :]
+    centers_t = centers.transpose(0, 2, 1)
+    step = max(1, _CHUNK // G)
+    for s in range(0, n, step):
+        d = c2 - 2.0 * np.matmul(data[:, s : s + step], centers_t)
+        labels[:, s : s + step] = d.argmin(axis=2)
     return labels
+
+
+def _gather(centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each group's chosen centroids: (G, k, d), (G, n) -> (G, n, d)."""
+    return np.take_along_axis(centers, labels[..., None], axis=1)
+
+
+def _kmeans(data: np.ndarray, k: int, iters: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """k-means on every group of (G, n, d) data at once, one seed per group.
+
+    Returns (centers (G, k, d), distortion history (iterations, G)). Each
+    group draws from its own generator and stops updating once its labels
+    repeat (its later history entries are NaN), so every group's centers
+    equal those of a one-group run.
+    """
+    G, n, dim = data.shape
+    if k < 1:
+        raise InvalidConfig("k must be >= 1")
+    if k > n:
+        raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(G)
+
+    centers = np.empty((G, k, dim))
+    centers[:, 0] = data[rows, [rng.integers(n) for rng in rngs]]
+    d2 = ((data - centers[:, :1]) ** 2).sum(axis=2)
+    for j in range(1, k):
+        total = d2.sum(axis=1)
+        picks = [
+            rng.choice(n, p=d2[g] / total[g]) if total[g] > 0 else rng.integers(n)
+            for g, rng in enumerate(rngs)
+        ]
+        centers[:, j] = data[rows, picks]
+        np.minimum(d2, ((data - centers[:, j, None]) ** 2).sum(axis=2), out=d2)
+
+    history = []
+    active = np.ones(G, dtype=bool)
+    offsets = rows[:, None] * k  # label -> bin of the flattened (G, k) grid
+    prev_labels = None
+    for _ in range(max(iters, 0)):
+        labels = _assign(data, centers)
+        if prev_labels is not None:
+            active &= (labels != prev_labels).any(axis=1)
+            if not active.any():
+                break
+        dists = ((data - _gather(centers, labels)) ** 2).sum(axis=2)
+        counts = np.bincount((offsets + labels).ravel(), minlength=G * k).reshape(G, k)
+        for g, j in zip(*np.nonzero((counts == 0) & active[:, None])):
+            far = int(np.argmax(dists[g]))
+            centers[g, j] = data[g, far]
+            labels[g, far] = j
+            dists[g, far] = 0.0
+        history.append(np.where(active, dists.sum(axis=1), np.nan))
+        slots = (offsets + labels).ravel()
+        counts = np.bincount(slots, minlength=G * k).reshape(G, k)
+        # one coordinate at a time; bincount adds each bin's rows in row order
+        sums = np.stack([np.bincount(slots, w, G * k) for w in data.reshape(-1, dim).T], axis=1)
+        update = (counts > 0) & active[:, None]
+        centers[update] = sums.reshape(G, k, dim)[update] / counts[update][:, None]
+        prev_labels = labels
+    return centers, np.reshape(history, (-1, G))
 
 
 def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False):
@@ -88,51 +148,10 @@ def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False
     return_history=True also returns the per-iteration distortion so
     monotonicity can be checked.
     """
-    arr = _frames_array(data)
-    n, dim = arr.shape
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
-    if k > n:
-        raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
-    rng = np.random.default_rng(seed)
-
-    centers = np.empty((k, dim))
-    centers[0] = arr[rng.integers(n)]
-    d2 = ((arr - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            pick = rng.choice(n, p=d2 / total)
-        else:
-            pick = rng.integers(n)
-        centers[j] = arr[pick]
-        np.minimum(d2, ((arr - centers[j]) ** 2).sum(axis=1), out=d2)
-
-    history = []
-    prev_labels = None
-    for _ in range(max(iters, 0)):
-        labels = _assign(arr, centers)
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            break
-        dists = ((arr - centers[labels]) ** 2).sum(axis=1)
-        counts = np.bincount(labels, minlength=k)
-        for j in np.flatnonzero(counts == 0):
-            far = int(np.argmax(dists))
-            centers[j] = arr[far]
-            labels[far] = j
-            dists[far] = 0.0
-            counts[j] = 1
-        history.append(float(dists.sum()))
-        sums = np.zeros((k, dim))
-        np.add.at(sums, labels, arr)
-        counts = np.bincount(labels, minlength=k)
-        nonzero = counts > 0
-        centers[nonzero] = sums[nonzero] / counts[nonzero, None]
-        prev_labels = labels
-
-    book = Codebook(centers)
+    centers, history = _kmeans(_frames_array(data)[None], k, iters, [seed])
+    book = Codebook(centers[0])
     if return_history:
-        return book, np.asarray(history)
+        return book, history[:, 0]
     return book
 
 
@@ -141,81 +160,59 @@ def _codebook_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+def _split_groups(frames, groups: int) -> np.ndarray:
+    """Frames (T, D) as a fresh (groups, T, D / groups) array."""
+    arr = _frames_array(frames)
+    T, D = arr.shape
+    if D % groups:
+        raise ConfigMismatch(f"dimension {D} not divisible into {groups} groups")
+    return arr.reshape(T, groups, D // groups).transpose(1, 0, 2).copy()
+
+
 def fit_codebooks(frames, cfg: BaselineConfig) -> list[list[Codebook]]:
     """Train the (groups x residuals) codebook grid for a scheme.
 
     Residual stages are fit on the running residuals of the training data,
-    stage by stage, exactly as encoding will see them.
+    stage by stage, exactly as encoding will see them. All groups of a
+    stage are fit at once; group g, stage r is seeded by seeds[g * R + r].
     """
-    arr = _frames_array(frames)
-    if arr.shape[1] % cfg.groups:
-        raise ConfigMismatch(
-            f"dimension {arr.shape[1]} not divisible into {cfg.groups} groups"
-        )
-    dg = arr.shape[1] // cfg.groups
+    residual = _split_groups(frames, cfg.groups)
     seeds = _codebook_seeds(cfg.seed, cfg.groups * cfg.residuals)
-    books: list[list[Codebook]] = []
-    for g in range(cfg.groups):
-        residual = arr[:, g * dg : (g + 1) * dg].copy()
-        row = []
-        for r in range(cfg.residuals):
-            book = kmeans_fit(
-                residual, cfg.codebook_size, cfg.kmeans_iters, seeds[g * cfg.residuals + r]
-            )
-            row.append(book)
-            residual -= book.entries[_assign(residual, book.entries)]
-        books.append(row)
-    return books
+    stages = []
+    for r in range(cfg.residuals):
+        stage_seeds = seeds[r :: cfg.residuals]
+        centers = _kmeans(residual, cfg.codebook_size, cfg.kmeans_iters, stage_seeds)[0]
+        residual -= _gather(centers, _assign(residual, centers))
+        stages.append(centers)
+    return [[Codebook(stage[g]) for stage in stages] for g in range(cfg.groups)]
 
 
 def baseline_encode(
     frames, cfg: BaselineConfig, codebooks: list[list[Codebook]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode frames; returns (tokens (T, groups, residuals), reconstructions)."""
-    arr = _frames_array(frames)
-    T, D = arr.shape
-    if D % cfg.groups:
-        raise ConfigMismatch(f"dimension {D} not divisible into {cfg.groups} groups")
-    dg = D // cfg.groups
-    if len(codebooks) != cfg.groups or any(len(row) != cfg.residuals for row in codebooks):
+    residual = _split_groups(frames, cfg.groups)
+    G, T, dg = residual.shape
+    if len(codebooks) != G or any(len(row) != cfg.residuals for row in codebooks):
         raise ConfigMismatch("codebook grid does not match scheme shape")
-    for row in codebooks:
-        for book in row:
-            if book.dim != dg:
-                raise ConfigMismatch(
-                    f"codebook dimension {book.dim} != group dimension {dg}"
-                )
-            if book.k != cfg.codebook_size:
-                raise ConfigMismatch(f"codebook size {book.k} != {cfg.codebook_size}")
-    tokens = np.empty((T, cfg.groups, cfg.residuals), dtype=np.int64)
-    recon = np.zeros((T, D))
-    for g in range(cfg.groups):
-        lo = g * dg
-        residual = arr[:, lo : lo + dg].copy()
-        for r in range(cfg.residuals):
-            entries = codebooks[g][r].entries
-            labels = _assign(residual, entries)
-            chosen = entries[labels]
-            recon[:, lo : lo + dg] += chosen
-            residual -= chosen
-            tokens[:, g, r] = labels
-    return tokens, recon
+    shapes = {book.entries.shape for row in codebooks for book in row}
+    if shapes != {(cfg.codebook_size, dg)}:
+        raise ConfigMismatch(f"codebook shapes {sorted(shapes)} != ({cfg.codebook_size}, {dg})")
+    tokens = np.empty((T, G, cfg.residuals), dtype=np.int64)
+    recon = np.zeros((G, T, dg))
+    for r in range(cfg.residuals):
+        centers = np.stack([row[r].entries for row in codebooks])
+        labels = _assign(residual, centers)
+        chosen = _gather(centers, labels)
+        recon += chosen
+        residual -= chosen
+        tokens[:, :, r] = labels.T
+    return tokens, recon.transpose(1, 0, 2).reshape(T, G * dg)
 
 
 def baseline_utilization(tokens, cfg: BaselineConfig) -> UtilizationReport:
     """Coverage of each (group, residual) codebook, in percent."""
-    arr = np.asarray(tokens)
-    if arr.ndim != 3 or arr.shape[1:] != (cfg.groups, cfg.residuals):
-        raise ConfigMismatch(
-            f"expected token shape (T, {cfg.groups}, {cfg.residuals}), got {arr.shape}"
-        )
-    if arr.size and (np.any(arr < 0) or np.any(arr >= cfg.codebook_size)):
-        raise InvalidIndex("token indices out of codebook range")
-    flat, empty = _utilization_percent(
-        arr.reshape(arr.shape[0], cfg.groups * cfg.residuals), cfg.codebook_size
-    )
-    per = flat.reshape(cfg.groups, cfg.residuals)
-    return UtilizationReport(per_codebook_percent=per, mean_percent=float(per.mean()), empty=empty)
+    return _utilization(tokens, cfg.groups, cfg.residuals, cfg.codebook_size)
 
 
 def baseline_bitrate(cfg: BaselineConfig, fps: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -123,6 +124,8 @@ def _build_config(args, total_dim: int, allow_projection: bool = False) -> Grfsq
     gets identity-truncation placeholders for calibration to replace."""
     spec = _parse_levels(args.levels)
     groups = args.groups
+    if groups < 1:
+        raise InvalidConfig(f"--groups must be positive, got {groups}")
     if total_dim % groups:
         raise InvalidConfig(
             f"frame dimension {total_dim} is not divisible into {groups} groups"
@@ -220,6 +223,8 @@ def _mean_frame_rmse(original: np.ndarray, recon: np.ndarray) -> float:
 def cmd_ablate(args) -> int:
     frames = _load_frames(args.input)
     schemes = [s.strip().lower() for s in args.schemes.split(",") if s.strip()]
+    if not schemes:
+        raise InvalidConfig("--schemes names no scheme")
     for scheme in schemes:
         if scheme not in baselines.SCHEMES + ("grfsq",):
             raise InvalidConfig(f"unknown scheme {scheme!r}")
@@ -298,8 +303,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_sim(args) -> int:
-    speech = generation.load_speech_tokens(args.speech, vocab=args.vocab, rate=args.fps)
-    controls = generation.load_controls(args.controls)
+    # every stream and shape limit is checked before any input is read or generated
     spec = _parse_levels(args.levels)
     num_classes = spec.codebook_size
     cfg = GrfsqConfig(
@@ -308,6 +312,13 @@ def cmd_schedule_sim(args) -> int:
         level_spec=spec,
         group_dim=spec.d,
     )
+    header = bitstream.StreamHeader(
+        config=cfg, frame_count=0, fps=args.fps, packing_mode=bitstream.MODE_MIXED_RADIX
+    )
+    if args.global_dim < 0:
+        raise InvalidConfig(f"--global-dim must be non-negative, got {args.global_dim}")
+    speech = generation.load_speech_tokens(args.speech, vocab=args.vocab, rate=args.fps)
+    controls = generation.load_controls(args.controls)
     if args.predictor == "uniform":
         predictor = generation.UniformPredictor(num_classes)
     else:
@@ -338,9 +349,7 @@ def cmd_schedule_sim(args) -> int:
         num_groups=args.groups,
         with_nll=True,
     )
-    header = bitstream.StreamHeader(
-        config=cfg, frame_count=len(speech), fps=args.fps, packing_mode=bitstream.MODE_MIXED_RADIX
-    )
+    header = dataclasses.replace(header, frame_count=len(speech))
     with open(args.out, "wb") as fh:
         bitstream.write_stream(header, tokens, fh)
     uniform_layer_nll = args.groups * len(speech) * math.log(num_classes)

@@ -311,29 +311,23 @@ def float_stream_bitrate(dims: int, fps: float, bits_per_scalar: int = 32) -> fl
     return dims * bits_per_scalar * fps
 
 
-def _utilization_percent(tokens_per_book: np.ndarray, codebook_size: int):
-    """tokens_per_book: (T, books) integer array. Returns (percent array, empty)."""
-    T, books = tokens_per_book.shape
-    if T == 0:
-        return np.zeros(books), True
-    out = np.empty(books)
-    for b in range(books):
-        out[b] = 100.0 * len(np.unique(tokens_per_book[:, b])) / codebook_size
-    return out, False
+def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> UtilizationReport:
+    """Share of each of the (groups, residuals) codebooks seen in (T, G, R) tokens."""
+    arr = np.asarray(tokens)
+    if arr.ndim != 3 or arr.shape[1:] != (groups, residuals):
+        raise ConfigMismatch(
+            f"expected token shape (T, {groups}, {residuals}), got {arr.shape}"
+        )
+    if arr.size and (np.any(arr < 0) or np.any(arr >= codebook_size)):
+        raise InvalidIndex("token indices out of codebook range")
+    if not len(arr):
+        return UtilizationReport(np.zeros((groups, residuals)), 0.0, empty=True)
+    ordered = np.sort(arr, axis=0)
+    count = 1 + (ordered[1:] != ordered[:-1]).sum(axis=0)  # distinct tokens per book
+    per = 100.0 * count / codebook_size
+    return UtilizationReport(per_codebook_percent=per, mean_percent=float(per.mean()))
 
 
 def utilization(tokens, cfg: GrfsqConfig) -> UtilizationReport:
     """Per-(group, residual) codebook coverage over a token tensor, in percent."""
-    arr = np.asarray(tokens)
-    G, R = cfg.num_groups, cfg.num_residuals
-    if arr.ndim != 3 or arr.shape[1:] != (G, R):
-        raise ConfigMismatch(f"expected token shape (T, {G}, {R}), got {arr.shape}")
-    if arr.size and (np.any(arr < 0) or np.any(arr >= cfg.codebook_size)):
-        raise InvalidIndex("token indices out of codebook range")
-    flat, empty = _utilization_percent(arr.reshape(arr.shape[0], G * R), cfg.codebook_size)
-    per = flat.reshape(G, R)
-    return UtilizationReport(
-        per_codebook_percent=per,
-        mean_percent=float(per.mean()),
-        empty=empty,
-    )
+    return _utilization(tokens, cfg.num_groups, cfg.num_residuals, cfg.codebook_size)

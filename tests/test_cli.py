@@ -412,6 +412,22 @@ class TestScheduleSim:
         assert f"{controls}:2" in stderr
         assert stdout == ""
 
+    def test_stream_limits_checked_before_generation(self, tmp_path, capsys, monkeypatch):
+        from grfsq import generation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("generate() ran before the stream limits were checked")
+
+        monkeypatch.setattr(generation, "generate", fail)
+        speech, controls = self.write_speech_and_controls(tmp_path, 40)
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--groups", "300", "--levels", "3,3",
+        )
+        assert code == 3, stderr
+        assert stdout == ""
+        assert not (tmp_path / "x.grfq").exists()
+
     def test_bigram_requires_training_flags(self, tmp_path, capsys):
         speech, controls = self.write_speech_and_controls(tmp_path, 5)
         code, _, stderr = run(
@@ -420,6 +436,26 @@ class TestScheduleSim:
         )
         assert code == 3
         assert "train-motion" in stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "{frames}", "{out}", "--groups", "0"),
+    ("ablate", "{frames}", "--schemes", "grfsq", "--groups", "0"),
+    ("schedule-sim", "--speech", "{speech}", "--controls", "{controls}", "--out", "{out}",
+     "--global-dim", "-1"),
+    ("ablate", "{frames}", "--schemes", ",", "--format", "csv"),
+    ("ablate", "{frames}", "--schemes", ","),
+], ids=["encode-groups-0", "ablate-groups-0", "schedule-sim-global-dim", "ablate-no-schemes-csv",
+        "ablate-no-schemes-json"])
+def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
+    speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 40)
+    paths = {"frames": frames48[0], "out": tmp_path / "x.grfq",
+             "speech": speech, "controls": controls}
+    code, stdout, stderr = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3, stderr
+    assert stderr.startswith("error: ")
+    assert stdout == ""
+    assert not (tmp_path / "x.grfq").exists()
 
 
 class TestDeterminism:
