@@ -220,6 +220,32 @@ def _mean_frame_rmse(original: np.ndarray, recon: np.ndarray) -> float:
     return float(np.sqrt(((original - recon) ** 2).mean(axis=1)).mean())
 
 
+def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
+    """One ablation row's config, checked against the training frames so a
+    bad flag fails before any codebook is fit."""
+    if scheme == "grfsq":
+        return _build_config(args, train.shape[1])
+    groups, residuals, k = {
+        "vq": (1, 1, args.vq_k),
+        "gvq": (args.gvq_groups, 1, args.gvq_k),
+        "rvq": (1, args.rvq_residuals, args.rvq_k),
+        "grvq": (args.grvq_groups, args.grvq_residuals, args.grvq_k),
+    }[scheme]
+    cfg = baselines.BaselineConfig(
+        scheme=scheme,
+        codebook_size=k,
+        groups=groups,
+        residuals=residuals,
+        kmeans_iters=args.kmeans_iters,
+        seed=seed,
+    )
+    if train.shape[1] % groups:
+        raise ConfigMismatch(f"dimension {train.shape[1]} not divisible into {groups} groups")
+    if k > train.shape[0]:
+        raise InvalidConfig(f"{scheme} k ({k}) exceeds the {train.shape[0]} training frames")
+    return cfg
+
+
 def cmd_ablate(args) -> int:
     frames = _load_frames(args.input)
     schemes = [s.strip().lower() for s in args.schemes.split(",") if s.strip()]
@@ -237,10 +263,11 @@ def cmd_ablate(args) -> int:
     if train.shape[0] == 0 or evaluate.shape[0] == 0:
         raise InvalidConfig("holdout split leaves an empty train or eval set")
 
+    # every scheme's flags are checked before the first codebook is fit
+    configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
     rows = []
-    for scheme in schemes:
+    for scheme, cfg in zip(schemes, configs):
         if scheme == "grfsq":
-            cfg = _build_config(args, frames.shape[1])
             tokens, recon, report = quantize_sequence(evaluate, cfg)
             util = utilization(tokens, cfg)
             rows.append(
@@ -255,30 +282,16 @@ def cmd_ablate(args) -> int:
                 }
             )
             continue
-        groups, residuals, k = {
-            "vq": (1, 1, args.vq_k),
-            "gvq": (args.gvq_groups, 1, args.gvq_k),
-            "rvq": (1, args.rvq_residuals, args.rvq_k),
-            "grvq": (args.grvq_groups, args.grvq_residuals, args.grvq_k),
-        }[scheme]
-        bcfg = baselines.BaselineConfig(
-            scheme=scheme,
-            codebook_size=k,
-            groups=groups,
-            residuals=residuals,
-            kmeans_iters=args.kmeans_iters,
-            seed=seed,
-        )
-        books = baselines.fit_codebooks(train, bcfg)
-        tokens, recon = baselines.baseline_encode(evaluate, bcfg, books)
-        util = baselines.baseline_utilization(tokens, bcfg)
+        books = baselines.fit_codebooks(train, cfg)
+        tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
+        util = baselines.baseline_utilization(tokens, cfg)
         rows.append(
             {
                 "scheme": scheme,
-                "groups": groups,
-                "residuals": residuals,
-                "codebook_size": k,
-                "bitrate_bps": baselines.baseline_bitrate(bcfg, args.fps),
+                "groups": cfg.groups,
+                "residuals": cfg.residuals,
+                "codebook_size": cfg.codebook_size,
+                "bitrate_bps": baselines.baseline_bitrate(cfg, args.fps),
                 "rmse": _mean_frame_rmse(evaluate, recon),
                 "utilization_mean_percent": util.mean_percent,
             }

@@ -175,6 +175,55 @@ def assemble_context(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class RowGrid:
+    """A (T, G, C) prediction grid held as its distinct rows: cell (t, g) is
+    ``rows[which[t, g]]``. A predictor whose cells share few rows returns
+    one, so generation validates, argmaxes and scores each row once. numpy
+    sees the dense grid through ``__array__``."""
+
+    rows: np.ndarray  # (P, C)
+    which: np.ndarray  # (T, G) row of each cell
+
+    ndim = 3
+
+    def __post_init__(self):
+        rows, which = np.asarray(self.rows), np.asarray(self.which)
+        if rows.ndim != 2 or which.ndim != 2:
+            raise InvalidInput(
+                f"row grid needs (P, C) rows and (T, G) indices, got {rows.shape}, {which.shape}"
+            )
+        if not np.issubdtype(which.dtype, np.integer):
+            raise InvalidInput("row indices must be integers")
+        if which.size and (which.min() < 0 or which.max() >= rows.shape[0]):
+            raise InvalidInput(f"row indices must lie in [0, {rows.shape[0]})")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "which", which)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.which.shape + self.rows.shape[1:]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a row grid has no dense array to view without a copy")
+        grid = self.rows[self.which]
+        return grid if dtype is None else grid.astype(dtype, copy=False)
+
+
+def _rows_of(grid) -> tuple[np.ndarray, np.ndarray]:
+    """(rows (P, C), which (T, G)) of a RowGrid, or of a dense (T, G, C) array
+    as one row per cell."""
+    if isinstance(grid, RowGrid):
+        return grid.rows, grid.which
+    T, G, C = grid.shape
+    return grid.reshape(T * G, C), np.arange(T * G).reshape(T, G)
+
+
 def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: int | None = None) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 3:
@@ -213,15 +262,14 @@ def nll(predictions, targets) -> float:
         raise InvalidInput("targets must be integers")
     if tgt.min() < 0 or tgt.max() >= probs.shape[2]:
         raise InvalidInput(f"targets must lie in [0, {probs.shape[2]})")
-    return _picked_nll(probs, tgt)
+    return _picked_nll(*_rows_of(probs), tgt)
 
 
-def _picked_nll(probs: np.ndarray, tgt: np.ndarray) -> float:
-    """`nll` of a validated (T, G, C) grid and in-range (T, G) integer targets."""
-    if tgt.size == 0:
-        return 0.0
-    t_idx, g_idx = np.indices(tgt.shape)
-    picked = probs[t_idx, g_idx, tgt]
+def _picked_nll(rows: np.ndarray, which: np.ndarray, tgt: np.ndarray) -> float:
+    """`nll` of validated (P, C) rows, each cell's row `which` (T, G) and
+    in-range (T, G) integer targets. The picked probabilities are gathered
+    into a (T, G) array first, so the sum runs in the dense grid's order."""
+    picked = rows[which, tgt]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).sum())
 
 
@@ -243,9 +291,12 @@ def generate(
     """Run the layered generation loop.
 
     The predictor is invoked exactly once per layer with a context holding
-    only the previous layer's tokens; its grid is validated once and
-    argmax-sampled into that layer's slice of the output tensor
-    (T, groups, layers). Only one layer's grid is held at a time.
+    only the previous layer's tokens. Its grid is held as its distinct
+    probability rows (a RowGrid as returned, a dense array as one row per
+    cell); the rows are validated once, and each row is argmaxed and scored
+    once. Each cell takes its row's token into that layer's slice of the
+    output tensor (T, groups, layers). No (T, G, C) array is built for a
+    predictor that returns a RowGrid.
     """
     if num_layers < 1 or num_groups < 1:
         raise InvalidInput("num_layers and num_groups must be positive")
@@ -259,7 +310,9 @@ def generate(
         context = assemble_context(
             global_feature, layer, speech, controls, prev_tokens=prev, num_groups=num_groups
         )
-        grid = np.asarray(predictor(context))
+        grid = predictor(context)
+        if not isinstance(grid, RowGrid):
+            grid = np.asarray(grid)
         if grid.ndim != 3 or grid.shape[0] != T or grid.shape[1] != num_groups:
             raise PredictorContractViolation(
                 f"layer {layer}: grid shape {grid.shape}, expected ({T}, {num_groups}, C)"
@@ -270,14 +323,15 @@ def generate(
             raise PredictorContractViolation(
                 f"layer {layer}: class count changed from {num_classes} to {grid.shape[2]}"
             )
+        rows, which = _rows_of(grid)
         try:
-            probs = validate_prediction_grid(grid)
+            rows = validate_prediction_grid(rows[:, None, :])[:, 0]
         except InvalidInput as exc:
             raise PredictorContractViolation(f"layer {layer}: {exc}") from None
-        tokens = probs.argmax(axis=2).astype(np.int64)
+        tokens = rows.argmax(axis=1)[which].astype(np.int64)
         if with_nll:
-            nll_per_layer[layer] = _picked_nll(probs, tokens)
-        del grid, probs  # free this layer's grid before the next predictor call
+            nll_per_layer[layer] = _picked_nll(rows, which, tokens)
+        del grid, rows  # free this layer's rows before the next predictor call
         out[:, :, layer] = tokens
         prev = tokens
     if with_nll:
@@ -293,10 +347,9 @@ class UniformPredictor:
             raise InvalidInput("num_classes must be positive")
         self.num_classes = num_classes
 
-    def __call__(self, context: GenerationContext) -> np.ndarray:
-        T = context.num_frames
-        G = context.prev_layer_tokens.shape[1]
-        return np.full((T, G, self.num_classes), 1.0 / self.num_classes)
+    def __call__(self, context: GenerationContext) -> RowGrid:
+        row = np.full((1, self.num_classes), 1.0 / self.num_classes)
+        return RowGrid(row, np.zeros(context.prev_layer_tokens.shape, dtype=np.intp))
 
 
 class EchoPredictor:
@@ -330,8 +383,9 @@ class BigramPredictor:
     target given the frame's speech token. Each channel is a table of
     smoothed, normalized rows, one per symbol seen in training (sorted keys)
     plus a last count-free row, exactly uniform, that unseen symbols fall
-    back to. Prediction gathers rows; nothing loops over frames or groups,
-    and the grid is bit-identical to normalizing every cell's row on its own.
+    back to. Prediction returns a RowGrid of the distinct (previous, speech)
+    rows; nothing loops over frames or groups, and the grid is bit-identical
+    to normalizing every cell's row on its own.
     """
 
     def __init__(self, num_classes: int, num_layers: int):
@@ -365,7 +419,7 @@ class BigramPredictor:
             model._speech_tables[r] = _channel_table(speech_per_cell, arr[:, :, r], num_classes)
         return model
 
-    def __call__(self, context: GenerationContext) -> np.ndarray:
+    def __call__(self, context: GenerationContext) -> RowGrid:
         layer = context.layer_indicator
         if layer >= self.num_layers:
             raise PredictorContractViolation(
@@ -377,12 +431,12 @@ class BigramPredictor:
         prev_rows = _table_rows(prev_keys, context.prev_layer_tokens)
         speech_rows = _table_rows(speech_keys, speech_tokens)[:, None]
         # A cell's row depends only on its (prev row, speech row) pair, so
-        # each distinct pair's row is built and normalized once, then gathered.
+        # each distinct pair's row is built and normalized once.
         n_speech = speech_table.shape[0]
         pairs, which = np.unique(prev_rows * n_speech + speech_rows, return_inverse=True)
         joint = prev_table[pairs // n_speech] * speech_table[pairs % n_speech]
         joint /= joint.sum(axis=1, keepdims=True)
-        return joint[which.reshape(prev_rows.shape)]
+        return RowGrid(joint, which.reshape(prev_rows.shape))
 
 
 def _channel_table(symbols, targets, num_classes: int) -> tuple[np.ndarray, np.ndarray]:

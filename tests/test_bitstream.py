@@ -465,3 +465,54 @@ class TestBatchPackerMatchesReference:
         raw = self.corrupt(cfg, mode, 600, damage)
         with pytest.raises(CorruptStream, match="codebook range"):
             read_stream(io.BytesIO(raw))
+
+
+class TestStreamFuzz:
+    """Mutated, truncated and extended streams either decode to a stream that
+    re-encodes to the same bytes, or raise CorruptStream; never anything else."""
+
+    @staticmethod
+    def valid_stream(data) -> bytes:
+        levels = tuple(data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+        d = len(levels)
+        G, R = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        projections, group_dim = None, d
+        if data.draw(st.booleans()):
+            group_dim = d + data.draw(st.integers(0, 2))
+            projections = tuple(
+                np.linalg.qr(rng.normal(size=(group_dim, group_dim)))[0][:, :d].T
+                .astype(np.float32).astype(np.float64)
+                for _ in range(G)
+            )
+        cfg = GrfsqConfig(G, R, LevelSpec(levels), group_dim, projections)
+        mode = data.draw(st.sampled_from([MODE_MIXED_RADIX, MODE_FIXED_WIDTH]))
+        T = data.draw(st.integers(0, 64))
+        tensor = rng.integers(0, cfg.codebook_size, size=(T, G, R))
+        buf = io.BytesIO()
+        write_stream(StreamHeader(cfg, T, 25.0, mode), tensor, buf)
+        return buf.getvalue()
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_streams(self, data):
+        raw = bytearray(self.valid_stream(data))
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["set", "flip", "truncate", "extend"]))
+            if kind == "truncate":
+                del raw[data.draw(st.integers(0, len(raw))) :]
+            elif kind == "extend":
+                raw += data.draw(st.binary(min_size=1, max_size=16))
+            elif raw:
+                pos = data.draw(st.integers(0, len(raw) - 1))
+                if kind == "set":
+                    raw[pos] = data.draw(st.integers(0, 255))
+                else:
+                    raw[pos] ^= 1 << data.draw(st.integers(0, 7))
+        try:
+            header, tensor = read_stream(io.BytesIO(bytes(raw)))
+        except CorruptStream:
+            return
+        buf = io.BytesIO()
+        write_stream(header, tensor, buf)
+        assert buf.getvalue() == bytes(raw)

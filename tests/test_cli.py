@@ -302,6 +302,24 @@ class TestAblate:
         book = codebook_from_bytes(blob)
         assert book.k == 8 and book.dim == 12
 
+    @pytest.mark.parametrize("bad_flag", [("--groups", "0"), ("--grvq-k", "5000")])
+    def test_every_scheme_checked_before_fitting(
+        self, tmp_path, capsys, monkeypatch, frames12, bad_flag
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit before every scheme's flags were checked")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        out_dir = tmp_path / "books"
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, *bad_flag, "--save-codebooks", str(out_dir))
+        )
+        assert code == 3, stderr
+        assert stdout == ""
+        assert not out_dir.exists()
+
     def test_holdout_split(self, capsys, frames12):
         code, stdout, _ = run(
             capsys, "ablate", str(frames12), "--schemes", "vq", "--vq-k", "8",

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grfsq.errors import InvalidInput, PredictorContractViolation
 from grfsq.fsq import LevelSpec
@@ -10,6 +13,7 @@ from grfsq.generation import (
     BigramPredictor,
     ControlTrack,
     EchoPredictor,
+    RowGrid,
     SpeechTokenSeq,
     UniformPredictor,
     argmax_sample,
@@ -280,6 +284,128 @@ class TestGenerateValidatesOnce:
             grid = model(ctx)
             assert np.array_equal(out[:, :, r], argmax_sample(grid))
             assert layer_nll[r] == nll(grid, argmax_sample(grid))
+
+
+def grid_forms(rows, which):
+    """One layer's prediction in the three forms generate() accepts: a dense
+    grid, a RowGrid with one row per cell, and the compressed RowGrid."""
+    dense = rows[which]
+    T, G, C = dense.shape
+    per_cell = RowGrid(dense.reshape(T * G, C), np.arange(T * G).reshape(T, G))
+    return {"dense": dense, "per-cell": per_cell, "compressed": RowGrid(rows, which)}
+
+
+def run_forms(layers, T, G):
+    """generate() once per form, on layers = [(rows, which), ...]; returns
+    {form: tokens and per-layer NLL, or the PredictorContractViolation message}."""
+    speech, controls = make_inputs(T)
+    results = {}
+    for form in ("dense", "per-cell", "compressed"):
+        grids = [grid_forms(rows, which)[form] for rows, which in layers]
+        try:
+            results[form] = generate(
+                lambda ctx: grids[ctx.layer_indicator], np.zeros(2), speech, controls,
+                num_layers=len(layers), num_groups=G, with_nll=True,
+            )
+        except PredictorContractViolation as exc:
+            results[form] = str(exc)
+    return results
+
+
+class TestRowPathMatchesDensePath:
+    """A dense grid, the same grid as one row per cell, and its distinct rows
+    give equal tokens, bit-equal per-layer NLL and the same errors."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_tokens_and_nll(self, data):
+        T, G, C, R = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 9), (1, 3), (1, 6), (1, 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        layers = []
+        for _ in range(R):
+            P = data.draw(st.integers(1, 5))
+            rows = rng.dirichlet(np.ones(C), size=P)
+            rows[0] = 1.0 / C  # an all-tied row: argmax picks the lowest class
+            layers.append((rows, rng.integers(0, P, size=(T, G))))
+        results = run_forms(layers, T, G)
+        dense_tokens, dense_nll = results["dense"]
+        assert dense_tokens.shape == (T, G, R)
+        for form in ("per-cell", "compressed"):
+            tokens, layer_nll = results[form]
+            assert np.array_equal(tokens, dense_tokens)
+            assert layer_nll.tolist() == dense_nll.tolist()  # bit-equal, not approx
+
+    @pytest.mark.parametrize(
+        "bad_value, message",
+        [(np.nan, "finite and non-negative"), (-0.1, "finite and non-negative"),
+         (0.3, "sum to 1")],
+    )
+    def test_bad_row_same_message(self, bad_value, message):
+        rows = np.full((3, 5), 0.2)
+        which = np.array([[0, 1, 2], [2, 1, 0], [1, 1, 1], [0, 0, 2]])
+        bad = rows.copy()
+        bad[1, 3] = bad_value
+        results = run_forms([(rows, which), (bad, which)], 4, 3)
+        assert results["dense"] == results["per-cell"] == results["compressed"]
+        assert results["dense"].startswith("layer 1: ")
+        assert message in results["dense"]
+
+    def test_non_finite_wins_over_earlier_row_sum(self, monkeypatch):
+        import grfsq.generation as generation
+
+        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", 5)  # one row per block
+        rows = np.full((4, 5), 0.2)
+        rows[0, 0] = 0.3  # bad sum in the first row and the first cells
+        rows[3, 2] = np.inf  # a later row and cell holds a non-finite value
+        which = np.array([[0, 1], [2, 1], [2, 3]])
+        results = run_forms([(rows, which)], 3, 2)
+        assert results["dense"] == results["per-cell"] == results["compressed"]
+        assert "finite and non-negative" in results["dense"]
+
+    def test_zero_frames(self):
+        rows = np.array([[0.25, 0.75]])
+        results = run_forms([(rows, np.zeros((0, 2), dtype=np.intp))] * 2, 0, 2)
+        for tokens, layer_nll in results.values():
+            assert tokens.shape == (0, 2, 2)
+            assert layer_nll.tolist() == [0.0, 0.0]
+
+
+class TestGenerationMemory:
+    """generate() holds a layer's distinct rows, never its (T, G, C) grid."""
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_uniform_predictor(self):
+        T, G, R, C = 2000, 12, 4, 625  # one dense grid is 120 MB
+        speech, controls = make_inputs(T)
+        peak = self.peak_bytes(lambda: generate(
+            UniformPredictor(C), np.zeros(2), speech, controls,
+            num_layers=R, num_groups=G, with_nll=True,
+        ))
+        assert peak < 16 << 20
+
+    def test_bigram_predictor(self, tmp_path):
+        from grfsq.bitstream import read_stream
+        from test_schedule_sim_golden import G, R, T_GEN, VOCAB, _write_inputs
+
+        _write_inputs(tmp_path)
+        with open(tmp_path / "train.grfq", "rb") as fh:
+            _, train = read_stream(fh)
+        train_speech = load_speech_tokens(tmp_path / "train_speech.txt", vocab=VOCAB)
+        model = BigramPredictor.fit(train, train_speech, 625)
+        speech = load_speech_tokens(tmp_path / "speech.txt", vocab=VOCAB)
+        controls = load_controls(tmp_path / "controls.jsonl")
+        peak = self.peak_bytes(lambda: generate(
+            model, np.zeros(8), speech, controls, num_layers=R, num_groups=G, with_nll=True
+        ))
+        assert peak < T_GEN * G * 625 * 8 // 2  # half of one dense grid
 
 
 def full_array_verdict(grid):
