@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
-from .fsq import LevelSpec
+from .fsq import LevelSpec, _flatten, _unflatten
 from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
@@ -52,7 +52,6 @@ class StreamHeader:
     frame_count: int
     fps: float
     packing_mode: int = MODE_MIXED_RADIX
-    version: int = STREAM_VERSION
 
     def __post_init__(self):
         _check_fps(self.fps)
@@ -80,7 +79,6 @@ class StreamHeader:
             and self.frame_count == other.frame_count
             and struct.pack("<f", self.fps) == struct.pack("<f", other.fps)
             and self.packing_mode == other.packing_mode
-            and self.version == other.version
         )
 
 
@@ -99,12 +97,12 @@ def frame_block_bytes(cfg: GrfsqConfig, mode: int) -> int:
     return (frame_bits(cfg, mode) + 7) // 8
 
 
-def _limb_digits(size: int) -> int:
-    """Base-`size` digits per uint64 limb: the largest k >= 1 with size**k < 2**63."""
+def _limb_spec(size: int) -> LevelSpec:
+    """The k base-`size` digits of one uint64 limb, k the largest with size**k < 2**63."""
     k = 1
     while size ** (k + 1) < 2**63:
         k += 1
-    return k
+    return LevelSpec((size,) * k)
 
 
 def _field_bytes(width: int) -> int:
@@ -149,14 +147,13 @@ def _pack_fixed_width(flat: np.ndarray, size: int, nbits: int) -> bytes:
 def _pack_mixed_radix(flat: np.ndarray, size: int, nbits: int) -> bytes:
     # numpy folds each run of k digits into one uint64 limb (a base-size**k
     # digit); Python then runs Horner over the few limbs of each frame
-    k = _limb_digits(size)
+    spec = _limb_spec(size)
+    k, base = spec.d, spec.codebook_size
     frames, count = flat.shape
     limbs_per_frame = -(-count // k)
     digits = np.zeros((frames, limbs_per_frame * k), dtype=np.uint64)
     digits[:, :count] = flat
-    powers = np.array([size**j for j in range(k)], dtype=np.uint64)
-    limbs = digits.reshape(frames, limbs_per_frame, k) @ powers
-    base = size**k
+    limbs = _flatten(digits.reshape(frames, limbs_per_frame, k), spec)
     nbytes = (nbits + 7) // 8
     pad = nbytes * 8 - nbits
     blocks = []
@@ -205,9 +202,9 @@ def _unpack_fixed_width(chunk, frames: int, count: int, size: int, nbits: int) -
 
 
 def _unpack_mixed_radix(chunk, frames: int, count: int, size: int, nbits: int) -> np.ndarray:
-    k = _limb_digits(size)
+    spec = _limb_spec(size)
+    k, base = spec.d, spec.codebook_size
     limbs_per_frame = -(-count // k)
-    base = size**k
     top = size ** (count - (limbs_per_frame - 1) * k)  # the last limb holds fewer digits
     nbytes = (nbits + 7) // 8
     pad = nbytes * 8 - nbits
@@ -227,9 +224,7 @@ def _unpack_mixed_radix(chunk, frames: int, count: int, size: int, nbits: int) -
         row.append(value)
         rows.append(row)
     limbs = np.array(rows, dtype=np.uint64).reshape(frames, limbs_per_frame)
-    powers = np.array([size**j for j in range(k)], dtype=np.uint64)
-    digits = limbs[:, :, None] // powers % np.uint64(size)
-    return digits.reshape(frames, limbs_per_frame * k)[:, :count]
+    return _unflatten(limbs, spec).reshape(frames, limbs_per_frame * k)[:, :count]
 
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
@@ -257,7 +252,7 @@ def _encode_header(header: StreamHeader) -> bytes:
     spec = cfg.level_spec
     parts = [
         MAGIC,
-        struct.pack("<B", header.version),
+        struct.pack("<B", STREAM_VERSION),
         struct.pack("<BBB", cfg.num_groups, cfg.num_residuals, spec.d),
         bytes(spec.levels),
         struct.pack("<HH", cfg.group_dim, cfg.total_dim),
@@ -266,8 +261,7 @@ def _encode_header(header: StreamHeader) -> bytes:
         struct.pack("<BB", header.packing_mode, 0 if cfg.projections is None else 1),
     ]
     if cfg.projections is not None:
-        mats = np.concatenate([m.reshape(-1) for m in cfg.projections])
-        parts.append(mats.astype("<f4").tobytes())
+        parts.append(cfg.projections.astype("<f4").tobytes())
     return b"".join(parts)
 
 
@@ -312,8 +306,7 @@ def _decode_header(source) -> StreamHeader:
     if proj_flag:
         n = groups * d * group_dim
         raw = np.frombuffer(_read_exact(source, 4 * n, "projections"), dtype="<f4")
-        mats = raw.astype(np.float64).reshape(groups, d, group_dim)
-        projections = tuple(mats[g] for g in range(groups))
+        projections = raw.astype(np.float64).reshape(groups, d, group_dim)
     try:
         cfg = GrfsqConfig(
             num_groups=groups,

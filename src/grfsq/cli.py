@@ -134,7 +134,7 @@ def _build_config(args, total_dim: int, allow_projection: bool = False) -> Grfsq
     if group_dim == spec.d:
         projections = None
     elif allow_projection and group_dim > spec.d:
-        projections = tuple(np.eye(spec.d, group_dim) for _ in range(groups))
+        projections = np.broadcast_to(np.eye(spec.d, group_dim), (groups, spec.d, group_dim))
     else:
         raise InvalidConfig(
             f"group dimension {group_dim} does not match grid dimension {spec.d}; "
@@ -268,41 +268,33 @@ def cmd_ablate(args) -> int:
     rows = []
     for scheme, cfg in zip(schemes, configs):
         if scheme == "grfsq":
-            tokens, recon, report = quantize_sequence(evaluate, cfg)
+            tokens, recon, _ = quantize_sequence(evaluate, cfg)
             util = utilization(tokens, cfg)
-            rows.append(
-                {
-                    "scheme": "grfsq",
-                    "groups": cfg.num_groups,
-                    "residuals": cfg.num_residuals,
-                    "codebook_size": cfg.codebook_size,
-                    "bitrate_bps": bitrate(cfg, args.fps),
-                    "rmse": report.mean_rmse,
-                    "utilization_mean_percent": util.mean_percent,
-                }
-            )
-            continue
-        books = baselines.fit_codebooks(train, cfg)
-        tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
-        util = baselines.baseline_utilization(tokens, cfg)
+            bps = bitrate(cfg, args.fps)
+        else:
+            books = baselines.fit_codebooks(train, cfg)
+            tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
+            util = baselines.baseline_utilization(tokens, cfg)
+            bps = baselines.baseline_bitrate(cfg, args.fps)
+            if args.save_codebooks:
+                os.makedirs(args.save_codebooks, exist_ok=True)
+                for g, row_books in enumerate(books):
+                    for r, book in enumerate(row_books):
+                        name = f"{scheme}_g{g}_r{r}.codebook"
+                        with open(os.path.join(args.save_codebooks, name), "wb") as fh:
+                            fh.write(baselines.codebook_to_bytes(book))
+        groups, residuals = tokens.shape[1:]
         rows.append(
             {
                 "scheme": scheme,
-                "groups": cfg.groups,
-                "residuals": cfg.residuals,
+                "groups": groups,
+                "residuals": residuals,
                 "codebook_size": cfg.codebook_size,
-                "bitrate_bps": baselines.baseline_bitrate(cfg, args.fps),
+                "bitrate_bps": bps,
                 "rmse": _mean_frame_rmse(evaluate, recon),
                 "utilization_mean_percent": util.mean_percent,
             }
         )
-        if args.save_codebooks:
-            os.makedirs(args.save_codebooks, exist_ok=True)
-            for g, row_books in enumerate(books):
-                for r, book in enumerate(row_books):
-                    name = f"{scheme}_g{g}_r{r}.codebook"
-                    with open(os.path.join(args.save_codebooks, name), "wb") as fh:
-                        fh.write(baselines.codebook_to_bytes(book))
 
     if args.format == "csv":
         buf = io.StringIO()

@@ -20,7 +20,6 @@ from .errors import InvalidInput, PredictorContractViolation
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
 DEFAULT_TOKEN_RATE = 25.0
-_GRID_BLOCK_CELLS = 1 << 16  # grid cells per block, so a validation pass stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,18 +231,11 @@ def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: i
         raise InvalidInput(f"grid covers {arr.shape[0]} frames, expected {num_frames}")
     if num_groups is not None and arr.shape[1] != num_groups:
         raise InvalidInput(f"grid has {arr.shape[1]} groups, expected {num_groups}")
-    # One pass in cache-sized blocks of frames. A bad value anywhere wins
-    # over a bad row sum, so a row-sum failure is only reported at the end.
-    T, G, C = arr.shape
-    step = max(1, _GRID_BLOCK_CELLS // max(G * C, 1))
-    rows_ok = True
-    for start in range(0, T if arr.size else 0, step):
-        block = arr[start : start + step]
-        if not (block.min() >= 0.0 and math.isfinite(block.max())):  # NaN fails both
-            raise InvalidInput("probabilities must be finite and non-negative")
-        if rows_ok:
-            rows_ok = not np.any(np.abs(block.sum(axis=2) - 1.0) > 1e-9)
-    if not rows_ok:
+    # A bad value anywhere wins over a bad row sum; a row with no classes
+    # sums to 0, so it fails the row-sum check.
+    if arr.size and not (arr.min() >= 0.0 and math.isfinite(arr.max())):  # NaN fails both
+        raise InvalidInput("probabilities must be finite and non-negative")
+    if np.any(np.abs(arr.sum(axis=2) - 1.0) > 1e-9):
         raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
     return arr
 

@@ -33,19 +33,26 @@ _ORTHO_TOL = 1e-5  # projections are stored at single precision
 _CHUNK = 256  # frames per batched encode; bounds the (R, chunk, D) partials
 
 
-def _as_projection(mat, d: int, group_dim: int, g: int) -> np.ndarray:
-    arr = np.array(mat, dtype=np.float64)
-    if arr.shape != (d, group_dim):
-        raise InvalidConfig(
-            f"projection {g} must have shape ({d}, {group_dim}), got {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidConfig(f"projection {g} contains non-finite values")
-    gram = arr @ arr.T
-    if not np.allclose(gram, np.eye(d), atol=_ORTHO_TOL):
-        raise InvalidConfig(f"projection {g} rows are not orthonormal")
-    arr.setflags(write=False)
-    return arr
+def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
+    """Per-group projections as one read-only (groups, d, group_dim) float64 array."""
+    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    if len(mats) != groups:
+        raise InvalidConfig(f"expected {groups} projections, got {len(mats)}")
+    for g, m in enumerate(mats):
+        if m.shape != (d, group_dim):
+            raise InvalidConfig(
+                f"projection {g} must have shape ({d}, {group_dim}), got {m.shape}"
+            )
+    stack = np.stack(mats)
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    if bad.any():
+        raise InvalidConfig(f"projection {bad.argmax()} contains non-finite values")
+    gram = stack @ stack.transpose(0, 2, 1)
+    bad = ~np.isclose(gram, np.eye(d), atol=_ORTHO_TOL).all(axis=(1, 2))
+    if bad.any():
+        raise InvalidConfig(f"projection {bad.argmax()} rows are not orthonormal")
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +63,7 @@ class GrfsqConfig:
     num_residuals: int
     level_spec: LevelSpec
     group_dim: int
-    projections: tuple[np.ndarray, ...] | None = None
+    projections: np.ndarray | None = None  # (num_groups, d, group_dim)
 
     def __post_init__(self):
         if self.num_groups < 1 or self.num_residuals < 1:
@@ -64,30 +71,19 @@ class GrfsqConfig:
         if self.group_dim < 1:
             raise InvalidConfig("group_dim must be positive")
         d = self.level_spec.d
+        ups = None
         if self.projections is None:
             if self.group_dim != d:
                 raise InvalidConfig(
                     f"without projections group_dim ({self.group_dim}) must equal "
                     f"the grid dimension ({d})"
                 )
-            object.__setattr__(self, "_downs", None)
-            object.__setattr__(self, "_ups", None)
         else:
-            downs = tuple(self.projections)
-            if len(downs) != self.num_groups:
-                raise InvalidConfig(
-                    f"expected {self.num_groups} projections, got {len(downs)}"
-                )
-            downs = tuple(
-                _as_projection(m, d, self.group_dim, g) for g, m in enumerate(downs)
-            )
+            downs = _as_projections(self.projections, self.num_groups, d, self.group_dim)
             object.__setattr__(self, "projections", downs)
-            stacked = np.stack(downs)  # (G, d, group_dim)
-            ups = np.ascontiguousarray(stacked.transpose(0, 2, 1))
-            stacked.setflags(write=False)
+            ups = np.ascontiguousarray(downs.transpose(0, 2, 1))
             ups.setflags(write=False)
-            object.__setattr__(self, "_downs", stacked)
-            object.__setattr__(self, "_ups", ups)
+        object.__setattr__(self, "_ups", ups)
         if self.level_spec.codebook_size > 2**63 - 1:
             raise InvalidConfig("codebook size too large for signed 64-bit indices")
 
@@ -102,19 +98,12 @@ class GrfsqConfig:
     def __eq__(self, other):
         if not isinstance(other, GrfsqConfig):
             return NotImplemented
-        if (
-            self.num_groups != other.num_groups
-            or self.num_residuals != other.num_residuals
-            or self.level_spec != other.level_spec
-            or self.group_dim != other.group_dim
-        ):
-            return False
-        if (self.projections is None) != (other.projections is None):
-            return False
-        if self.projections is None:
-            return True
-        return all(
-            np.array_equal(a, b) for a, b in zip(self.projections, other.projections)
+        return (
+            self.num_groups == other.num_groups
+            and self.num_residuals == other.num_residuals
+            and self.level_spec == other.level_spec
+            and self.group_dim == other.group_dim
+            and np.array_equal(self.projections, other.projections)  # True for None, None
         )
 
 
@@ -158,7 +147,7 @@ def _encode(arr: np.ndarray, cfg: GrfsqConfig):
     indices = np.empty((T, cfg.num_groups, cfg.num_residuals), dtype=np.int64)
     partials = np.empty((cfg.num_residuals, T, cfg.total_dim), dtype=np.float64)
     for r in range(cfg.num_residuals):
-        z = residual if cfg._downs is None else _project(cfg._downs, residual)
+        z = residual if cfg.projections is None else _project(cfg.projections, residual)
         codes = _nearest_codes(np.tanh(z), levels)
         values = _grid_values(codes, levels)
         q = values if cfg._ups is None else _project(cfg._ups, values)
@@ -263,10 +252,10 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     if arr.shape[0] < d:
         raise InvalidInput(f"need at least {d} calibration frames, got {arr.shape[0]}")
     if dg == d:
-        eye = np.eye(d)
-        return dataclasses.replace(cfg, projections=tuple(eye for _ in range(cfg.num_groups)))
+        eye = np.broadcast_to(np.eye(d), (cfg.num_groups, d, d))
+        return dataclasses.replace(cfg, projections=eye)
 
-    downs = []
+    downs = np.empty((cfg.num_groups, d, dg))
     for g in range(cfg.num_groups):
         block = arr[:, g * dg : (g + 1) * dg]
         centered = block - block.mean(axis=0)
@@ -283,8 +272,8 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
         for row in axes:
             if row[np.argmax(np.abs(row))] < 0:
                 row *= -1.0
-        downs.append(axes.astype(np.float32).astype(np.float64))
-    return dataclasses.replace(cfg, projections=tuple(downs))
+        downs[g] = axes.astype(np.float32)
+    return dataclasses.replace(cfg, projections=downs)
 
 
 def _check_fps(fps: float) -> None:

@@ -10,6 +10,7 @@ from grfsq.bitstream import (
     _READ_CHUNK,
     MODE_FIXED_WIDTH,
     MODE_MIXED_RADIX,
+    STREAM_VERSION,
     StreamHeader,
     frame_bits,
     frame_block_bytes,
@@ -235,6 +236,11 @@ class TestCorruptionDetection:
         raw[0] ^= 0xFF
         with pytest.raises(CorruptStream, match="magic"):
             read_stream(io.BytesIO(bytes(raw)))
+
+    def test_writes_the_one_version(self):
+        assert self.make_stream()[4] == STREAM_VERSION
+        with pytest.raises(TypeError):
+            StreamHeader(config=DEFAULT, frame_count=1, fps=25.0, version=2)
 
     def test_bad_version(self):
         raw = bytearray(self.make_stream())

@@ -228,6 +228,15 @@ class TestGenerate:
         with pytest.raises(PredictorContractViolation):
             generate(shifty, np.zeros(2), speech, controls, num_layers=2, num_groups=3)
 
+    def test_grid_without_classes_raises_contract_violation(self):
+        speech, controls = make_inputs(3)
+
+        def no_classes(context):
+            return np.zeros((3, 2, 0))  # every row sums to 0
+
+        with pytest.raises(PredictorContractViolation, match="layer 0: .*sum to 1"):
+            generate(no_classes, np.zeros(2), speech, controls, num_layers=2, num_groups=2)
+
 
 class TestGenerateValidatesOnce:
     """generate() validates each grid once and scores that same array."""
@@ -350,10 +359,7 @@ class TestRowPathMatchesDensePath:
         assert results["dense"].startswith("layer 1: ")
         assert message in results["dense"]
 
-    def test_non_finite_wins_over_earlier_row_sum(self, monkeypatch):
-        import grfsq.generation as generation
-
-        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", 5)  # one row per block
+    def test_non_finite_wins_over_earlier_row_sum(self):
         rows = np.full((4, 5), 0.2)
         rows[0, 0] = 0.3  # bad sum in the first row and the first cells
         rows[3, 2] = np.inf  # a later row and cell holds a non-finite value
@@ -428,30 +434,22 @@ def blocked_verdict(grid):
 
 
 class TestBlockedValidation:
-    """validate_prediction_grid streams the grid in blocks of frames and
-    reaches the verdict, and the message, of a check over the whole array."""
+    """validate_prediction_grid reaches the verdict, and the message, of a
+    check over the whole array, whatever the grid's length and wherever the
+    bad value lies."""
 
     G, C = 3, 4  # 12 cells per frame
-
-    @pytest.fixture
-    def four_frame_blocks(self, monkeypatch):
-        import grfsq.generation as generation
-
-        monkeypatch.setattr(generation, "_GRID_BLOCK_CELLS", 4 * self.G * self.C)
 
     def uniform(self, T):
         return np.full((T, self.G, self.C), 1.0 / self.C)
 
     @pytest.mark.parametrize("T", [0, 1, 3, 4, 5, 13])
-    def test_valid_grids_of_any_length(self, four_frame_blocks, T):
+    def test_valid_grids_of_any_length(self, T):
         grid = self.uniform(T)
         assert validate_prediction_grid(grid, num_frames=T, num_groups=self.G) is grid
 
     def test_frames_not_a_multiple_of_the_real_block(self):
-        from grfsq.generation import _GRID_BLOCK_CELLS
-
-        per_block = _GRID_BLOCK_CELLS // (self.G * self.C)
-        T = 2 * per_block + 5
+        T = 10927  # two blocks of 5461 frames and 5 more, when validation ran in blocks
         grid = self.uniform(T)
         assert validate_prediction_grid(grid) is grid
         grid[-1, -1, -1] = np.nan
@@ -459,13 +457,13 @@ class TestBlockedValidation:
             validate_prediction_grid(grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
-    def test_bad_value_in_last_block_only(self, four_frame_blocks, bad):
+    def test_bad_value_in_last_block_only(self, bad):
         grid = self.uniform(13)  # blocks of 4, 4, 4 and 1 frames
         grid[12, 2, 3] = bad
         with pytest.raises(InvalidInput, match="finite and non-negative"):
             validate_prediction_grid(grid)
 
-    def test_row_sum_in_earlier_block_loses_to_later_nan(self, four_frame_blocks):
+    def test_row_sum_in_earlier_block_loses_to_later_nan(self):
         grid = self.uniform(13)
         grid[1, 0, 0] = 0.3  # bad row sum in the first block
         with pytest.raises(InvalidInput, match="sum to 1"):
@@ -474,7 +472,7 @@ class TestBlockedValidation:
         with pytest.raises(InvalidInput, match="finite"):
             validate_prediction_grid(grid)
 
-    def test_random_damage_matches_whole_array_check(self, four_frame_blocks):
+    def test_random_damage_matches_whole_array_check(self):
         rng = np.random.default_rng(58)
         for _ in range(300):
             T = int(rng.integers(0, 14))
@@ -486,7 +484,7 @@ class TestBlockedValidation:
             assert blocked_verdict(grid) == full_array_verdict(grid)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8])
-    def test_non_float64_grids_from_a_predictor(self, four_frame_blocks, dtype):
+    def test_non_float64_grids_from_a_predictor(self, dtype):
         T = 10
         speech, controls = make_inputs(T)
         target = np.random.default_rng(59).integers(0, self.C, size=(T, self.G, 2))

@@ -83,6 +83,33 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             GrfsqConfig(2, 1, LevelSpec((5, 5)), 5, (good,))  # one matrix short
 
+    def test_projections_are_one_read_only_stack(self):
+        rng = np.random.default_rng(4)
+        a = random_projected_config(rng)
+        mats = a.projections.copy()
+        b = GrfsqConfig(a.num_groups, a.num_residuals, a.level_spec, a.group_dim, mats)
+        assert a.projections.shape == (a.num_groups, a.level_spec.d, a.group_dim)
+        assert a.projections.dtype == np.float64
+        assert not a.projections.flags.writeable and not a.projections[0].flags.writeable
+        mats[0, 0, 0] = 5.0  # the config holds its own copy
+        assert a == b
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda m: m[:1], "expected 3 projections, got 1"),
+            (lambda m: [m[0], m[1][:, :4], m[2]], r"projection 1 must have shape \(2, 5\)"),
+            (lambda m: [m[0], m[1], m[2] + np.inf], "projection 2 contains non-finite"),
+            (lambda m: [m[0], 2 * m[1], np.nan * m[2]], "projection 2 contains non-finite"),
+            (lambda m: [m[0], 2 * m[1], 2 * m[2]], "projection 1 rows are not orthonormal"),
+        ],
+        ids=["count", "shape", "inf", "non-finite-first", "orthonormal"],
+    )
+    def test_first_bad_projection_is_named(self, damage, message):
+        good = [np.eye(2, 5), np.eye(2, 5, 1), np.eye(2, 5, 3)]
+        with pytest.raises(InvalidConfig, match=message):
+            GrfsqConfig(3, 1, LevelSpec((5, 5)), 5, damage(good))
+
     def test_equality(self):
         rng = np.random.default_rng(3)
         a = random_projected_config(rng)
