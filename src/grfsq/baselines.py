@@ -56,6 +56,8 @@ class BaselineConfig:
             raise InvalidConfig(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.codebook_size < 1 or self.groups < 1 or self.residuals < 1:
             raise InvalidConfig("codebook_size, groups and residuals must be positive")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "vq" and (self.groups != 1 or self.residuals != 1):
             raise InvalidConfig("vq uses exactly one group and one residual stage")
         if self.scheme == "gvq" and self.residuals != 1:

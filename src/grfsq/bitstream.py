@@ -16,12 +16,17 @@ Header layout, little-endian scalars:
     projection_flag  u8
     [projections]    f32 * (num_groups * grid_dim * group_dim), row-major
 
-Each frame is one block. Mixed-radix mode treats the G*R indices
-(group-major, residual-minor) as little-endian digits of one
-base-(codebook size) integer and writes it MSB-first into
-ceil(G*R*log2(codebook)) bits; fixed-width mode writes each index in
-ceil(log2(codebook)) bits. Blocks are zero-padded to whole bytes and the
-padding must read back as zero.
+Each frame is one block: the integer whose base-b digits are the frame's
+G*R indices (group-major, residual-minor), written MSB-first in the
+fewest bits that hold b**(G*R) - 1 and zero-padded to whole bytes. The
+packing mode only sets the radix:
+
+    mixed-radix   b = codebook size, first index least significant;
+                  ceil(G*R*log2(codebook)) bits per frame
+    fixed-width   b = 2**w, w = bits of the largest index, first index
+                  most significant; each index in its own w-bit field
+
+On read the padding must be zero and every index inside the codebook.
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ MODE_MIXED_RADIX = 0
 MODE_FIXED_WIDTH = 1
 
 PACKING_MODE_NAMES = {MODE_MIXED_RADIX: "mixed-radix", MODE_FIXED_WIDTH: "fixed-width"}
+_HEAD = struct.Struct("<4sBBBB")  # magic, version, groups, residuals, grid_dim
+_TAIL = struct.Struct("<HHIfBB")  # group_dim, total_dim, frame_count, fps, packing, projected
 _READ_CHUNK = 1 << 16  # largest single read request while decoding a header
 _PACK_CELLS = 1 << 12  # indices per numpy pass while packing or unpacking a payload
 
@@ -82,32 +89,33 @@ class StreamHeader:
         )
 
 
+def _radix(cfg: GrfsqConfig, mode: int) -> tuple[int, bool]:
+    """(base, reversed) of a packing mode: a frame block is the integer whose
+    base-`base` digits are the frame's indices, the first index least
+    significant, or most significant when reversed."""
+    if mode == MODE_MIXED_RADIX:
+        return cfg.codebook_size, False
+    if mode == MODE_FIXED_WIDTH:
+        return 1 << (cfg.codebook_size - 1).bit_length(), True
+    raise InvalidConfig(f"unknown packing mode {mode}")
+
+
 def frame_bits(cfg: GrfsqConfig, mode: int) -> int:
     """Exact bit width of one packed frame block, before byte padding."""
-    count = cfg.num_groups * cfg.num_residuals
-    size = cfg.codebook_size
-    if mode == MODE_MIXED_RADIX:
-        return (size**count - 1).bit_length()
-    if mode == MODE_FIXED_WIDTH:
-        return count * (size - 1).bit_length()
-    raise InvalidConfig(f"unknown packing mode {mode}")
+    base, _ = _radix(cfg, mode)
+    return (base ** (cfg.num_groups * cfg.num_residuals) - 1).bit_length()
 
 
 def frame_block_bytes(cfg: GrfsqConfig, mode: int) -> int:
     return (frame_bits(cfg, mode) + 7) // 8
 
 
-def _limb_spec(size: int) -> LevelSpec:
-    """The k base-`size` digits of one uint64 limb, k the largest with size**k < 2**63."""
+def _limb_spec(base: int) -> LevelSpec:
+    """The k base-`base` digits of one uint64 limb, k >= 1 the largest with base**k < 2**63."""
     k = 1
-    while size ** (k + 1) < 2**63:
+    while base ** (k + 1) < 2**63:
         k += 1
-    return LevelSpec((size,) * k)
-
-
-def _field_bytes(width: int) -> int:
-    """Bytes of the smallest unsigned integer (1, 2, 4 or 8 bytes) holding `width` bits."""
-    return 1 << max(0, (width - 1).bit_length() - 3)
+    return LevelSpec((base,) * k)
 
 
 def _pack_blocks(flat: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[bytes]:
@@ -123,44 +131,28 @@ def _pack_blocks(flat: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[byte
             raise InvalidIndex("indices must be integers")
         if flat.min() < 0 or flat.max() >= size:
             raise InvalidIndex(f"index out of range for codebook size {size}")
+    base, rev = _radix(cfg, mode)
+    spec = _limb_spec(base)
     nbits = frame_bits(cfg, mode)
-    frames, count = flat.shape
-    step = max(1, _PACK_CELLS // count)
-    pack = _pack_mixed_radix if mode == MODE_MIXED_RADIX else _pack_fixed_width
-    return (
-        pack(flat[s : s + step].astype(np.uint64), size, nbits)
-        for s in range(0, frames, step)
-    )
+    digits = flat[:, ::-1] if rev else flat
+    step = max(1, _PACK_CELLS // flat.shape[1])
+    return (_pack_run(digits[s : s + step], spec, nbits) for s in range(0, len(flat), step))
 
 
-def _pack_fixed_width(flat: np.ndarray, size: int, nbits: int) -> bytes:
-    # each index as big-endian bytes, its low `width` bits in order, then
-    # every frame's bit row packed MSB-first with zero padding
-    width = (size - 1).bit_length()
-    nb = _field_bytes(width)
-    frames, count = flat.shape
-    be = flat.astype(f">u{nb}").view(np.uint8)
-    bits = np.unpackbits(be.reshape(-1)).reshape(frames, count, nb * 8)[:, :, nb * 8 - width :]
-    return np.packbits(bits.reshape(frames, nbits), axis=1).tobytes()
-
-
-def _pack_mixed_radix(flat: np.ndarray, size: int, nbits: int) -> bytes:
-    # numpy folds each run of k digits into one uint64 limb (a base-size**k
+def _pack_run(digits: np.ndarray, spec: LevelSpec, nbits: int) -> bytes:
+    # numpy folds each run of k digits into one uint64 limb (a base**k
     # digit); Python then runs Horner over the few limbs of each frame
-    spec = _limb_spec(size)
-    k, base = spec.d, spec.codebook_size
-    frames, count = flat.shape
-    limbs_per_frame = -(-count // k)
-    digits = np.zeros((frames, limbs_per_frame * k), dtype=np.uint64)
-    digits[:, :count] = flat
-    limbs = _flatten(digits.reshape(frames, limbs_per_frame, k), spec)
-    nbytes = (nbits + 7) // 8
-    pad = nbytes * 8 - nbits
+    k, limb_base = spec.d, spec.codebook_size
+    frames, count = digits.shape
+    padded = np.zeros((frames, -(-count // k) * k), dtype=np.uint64)
+    padded[:, :count] = digits
+    limbs = _flatten(padded.reshape(frames, -1, k), spec)
+    nbytes, pad = (nbits + 7) // 8, -nbits % 8
     blocks = []
     for row in limbs.tolist():
         value = 0
         for limb in reversed(row):  # limb 0 is least significant
-            value = value * base + limb
+            value = value * limb_base + limb
         blocks.append((value << pad).to_bytes(nbytes, "big"))
     return b"".join(blocks)
 
@@ -168,63 +160,52 @@ def _pack_mixed_radix(flat: np.ndarray, size: int, nbits: int) -> bytes:
 def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int) -> np.ndarray:
     """Invert `_pack_blocks` for a payload of whole blocks; returns (T, G, R)
     indices. The first bad frame raises CorruptStream: nonzero padding
-    first, then a value past the codebook range."""
-    size = cfg.codebook_size
-    count = cfg.num_groups * cfg.num_residuals
+    first, then an index past the codebook range."""
+    base, rev = _radix(cfg, mode)
+    spec = _limb_spec(base)
     nbits = frame_bits(cfg, mode)
+    count = cfg.num_groups * cfg.num_residuals
     nbytes = (nbits + 7) // 8
     frames = len(payload) // nbytes
     out = np.empty((frames, count), dtype=np.int64)
     step = max(1, _PACK_CELLS // count)
-    unpack = _unpack_mixed_radix if mode == MODE_MIXED_RADIX else _unpack_fixed_width
     view = memoryview(payload)
     for s in range(0, frames, step):
-        n = min(step, frames - s)
-        out[s : s + n] = unpack(view[s * nbytes : (s + n) * nbytes], n, count, size, nbits)
-    return out.reshape(frames, cfg.num_groups, cfg.num_residuals)
+        chunk = view[s * nbytes : (s + step) * nbytes]
+        out[s : s + step] = _unpack_run(chunk, count, spec, cfg.codebook_size, nbits)
+    return (out[:, ::-1] if rev else out).reshape(frames, cfg.num_groups, cfg.num_residuals)
 
 
-def _unpack_fixed_width(chunk, frames: int, count: int, size: int, nbits: int) -> np.ndarray:
-    width = (size - 1).bit_length()
-    nb = _field_bytes(width)
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8).reshape(frames, -1), axis=1)
-    bad = bits[:, nbits:].any(axis=1)  # nonzero padding
-    fields = np.zeros((frames, count, nb * 8), dtype=np.uint8)
-    fields[:, :, nb * 8 - width :] = bits[:, :nbits].reshape(frames, count, width)
-    values = np.packbits(fields.reshape(-1)).view(f">u{nb}").reshape(frames, count)
-    over = (values >= size).any(axis=1)
-    if bad.any() or over.any():
-        t = int((bad | over).argmax())
-        raise CorruptStream(
-            "nonzero padding bits" if bad[t] else "packed index exceeds codebook range"
-        )
-    return values
-
-
-def _unpack_mixed_radix(chunk, frames: int, count: int, size: int, nbits: int) -> np.ndarray:
-    spec = _limb_spec(size)
-    k, base = spec.d, spec.codebook_size
-    limbs_per_frame = -(-count // k)
-    top = size ** (count - (limbs_per_frame - 1) * k)  # the last limb holds fewer digits
-    nbytes = (nbits + 7) // 8
-    pad = nbytes * 8 - nbits
-    pad_mask = (1 << pad) - 1
+def _unpack_run(chunk, count: int, spec: LevelSpec, size: int, nbits: int) -> np.ndarray:
+    k, limb_base = spec.d, spec.codebook_size
+    nlimbs = -(-count // k)
+    top = spec.levels[0] ** (count - (nlimbs - 1) * k)  # the last limb holds fewer digits
+    nbytes, pad = (nbits + 7) // 8, -nbits % 8
+    frames = len(chunk) // nbytes
+    bad_pad = np.zeros(frames, dtype=bool)
+    over = np.zeros(frames, dtype=bool)
     rows = []
-    for off in range(0, frames * nbytes, nbytes):
-        value = int.from_bytes(chunk[off : off + nbytes], "big")
-        if value & pad_mask:
-            raise CorruptStream("nonzero padding bits")
+    for t in range(frames):
+        value = int.from_bytes(chunk[t * nbytes : (t + 1) * nbytes], "big")
+        bad_pad[t] = value & ((1 << pad) - 1)
         value >>= pad
         row = []
-        for _ in range(limbs_per_frame - 1):
-            value, limb = divmod(value, base)
+        for _ in range(nlimbs - 1):
+            value, limb = divmod(value, limb_base)
             row.append(limb)
-        if value >= top:
-            raise CorruptStream("packed value exceeds codebook range")
+        if value >= top:  # zeroed, as it may not fit a uint64
+            over[t], value = True, 0
         row.append(value)
         rows.append(row)
-    limbs = np.array(rows, dtype=np.uint64).reshape(frames, limbs_per_frame)
-    return _unflatten(limbs, spec).reshape(frames, limbs_per_frame * k)[:, :count]
+    limbs = np.array(rows, dtype=np.uint64).reshape(frames, nlimbs)
+    digits = _unflatten(limbs, spec).reshape(frames, nlimbs * k)[:, :count]
+    bad = bad_pad | over | (digits >= size).any(axis=1)
+    if bad.any():
+        t = int(bad.argmax())
+        raise CorruptStream(
+            "nonzero padding bits" if bad_pad[t] else "packed index exceeds codebook range"
+        )
+    return digits
 
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
@@ -250,19 +231,18 @@ def frame_unpack(block: bytes, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -
 def _encode_header(header: StreamHeader) -> bytes:
     cfg = header.config
     spec = cfg.level_spec
-    parts = [
-        MAGIC,
-        struct.pack("<B", STREAM_VERSION),
-        struct.pack("<BBB", cfg.num_groups, cfg.num_residuals, spec.d),
-        bytes(spec.levels),
-        struct.pack("<HH", cfg.group_dim, cfg.total_dim),
-        struct.pack("<I", header.frame_count),
-        struct.pack("<f", header.fps),
-        struct.pack("<BB", header.packing_mode, 0 if cfg.projections is None else 1),
-    ]
-    if cfg.projections is not None:
-        parts.append(cfg.projections.astype("<f4").tobytes())
-    return b"".join(parts)
+    projected = cfg.projections is not None
+    raw = (
+        _HEAD.pack(MAGIC, STREAM_VERSION, cfg.num_groups, cfg.num_residuals, spec.d)
+        + bytes(spec.levels)
+        + _TAIL.pack(
+            cfg.group_dim, cfg.total_dim, header.frame_count, header.fps,
+            header.packing_mode, projected,
+        )
+    )
+    if projected:
+        raw += cfg.projections.astype("<f4").tobytes()
+    return raw
 
 
 def _read_exact(source, n: int, what: str) -> bytes:
@@ -284,18 +264,17 @@ def _read_exact(source, n: int, what: str) -> bytes:
 
 
 def _decode_header(source) -> StreamHeader:
-    magic = _read_exact(source, 4, "magic")
+    magic, version, groups, residuals, d = _HEAD.unpack(
+        _read_exact(source, _HEAD.size, "header")
+    )
     if magic != MAGIC:
         raise CorruptStream(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<B", _read_exact(source, 1, "version"))
     if version != STREAM_VERSION:
         raise CorruptStream(f"unsupported version {version}")
-    groups, residuals, d = struct.unpack("<BBB", _read_exact(source, 3, "shape"))
-    levels = tuple(_read_exact(source, d, "levels")) if d else ()
-    group_dim, total_dim = struct.unpack("<HH", _read_exact(source, 4, "dims"))
-    (frame_count,) = struct.unpack("<I", _read_exact(source, 4, "frame count"))
-    (fps,) = struct.unpack("<f", _read_exact(source, 4, "fps"))
-    packing_mode, proj_flag = struct.unpack("<BB", _read_exact(source, 2, "flags"))
+    levels = tuple(_read_exact(source, d, "levels"))
+    group_dim, total_dim, frame_count, fps, packing_mode, proj_flag = _TAIL.unpack(
+        _read_exact(source, _TAIL.size, "header")
+    )
     if proj_flag not in (0, 1):
         raise CorruptStream(f"invalid projection flag {proj_flag}")
     if total_dim != groups * group_dim:

@@ -37,6 +37,7 @@ from .quantizer import (
     DEFAULT_LEVELS,
     DEFAULT_RESIDUALS,
     GrfsqConfig,
+    _check_fps,
     bitrate,
     calibrate_projections,
     grfsq_dequantize,
@@ -73,13 +74,11 @@ def _load_frames(path: str) -> np.ndarray:
                     row = json.loads(text)
                 except ValueError as exc:  # also an integer past Python's digit limit
                     raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
-                if not isinstance(row, list) or not all(
-                    isinstance(v, (int, float)) for v in row
-                ):
+                if not isinstance(row, list):
                     raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
             row = generation._finite_floats(row)
             if row is None:
-                raise InvalidInput(f"{path}:{lineno}: non-finite value")
+                raise InvalidInput(f"{path}:{lineno}: expected finite numbers")
             if frames and len(row) != width:
                 raise InvalidInput(
                     f"{path}:{lineno}: ragged frame, {len(row)} values vs {width}"
@@ -108,8 +107,12 @@ def _parse_levels(text: str) -> LevelSpec:
 
 def _resolve_seed(value) -> int:
     if value is not None:
-        return int(value)
-    return int(os.environ.get("GRFQ_SEED", "0"))
+        return value
+    text = os.environ.get("GRFQ_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidConfig(f"GRFQ_SEED must be an integer, got {text!r}") from None
 
 
 def _packing_mode(name: str) -> int:
@@ -151,24 +154,23 @@ def _build_config(args, total_dim: int, allow_projection: bool = False) -> Grfsq
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args.input)
-    if args.calibrate:
-        base = _build_config(args, frames.shape[1], allow_projection=True)
-        cfg = calibrate_projections(_load_frames(args.calibrate), base)
-    else:
-        cfg = _build_config(args, frames.shape[1])
-
-    mode = _packing_mode(args.packing)
-    tokens, recon, report = quantize_sequence(frames, cfg)
+    cfg = _build_config(args, frames.shape[1], allow_projection=bool(args.calibrate))
+    # every stream limit is checked before calibrating or quantizing
     header = bitstream.StreamHeader(
-        config=cfg, frame_count=frames.shape[0], fps=args.fps, packing_mode=mode
+        config=cfg, frame_count=frames.shape[0], fps=args.fps,
+        packing_mode=_packing_mode(args.packing),
     )
+    if args.calibrate:
+        cfg = calibrate_projections(_load_frames(args.calibrate), cfg)
+        header = dataclasses.replace(header, config=cfg)
+    tokens, recon, report = quantize_sequence(frames, cfg)
     with open(args.output, "wb") as fh:
         payload_bytes = bitstream.write_stream(header, tokens, fh)
     if args.recon_out:
         _write_frames(args.recon_out, recon)
 
     util = utilization(tokens, cfg)
-    bits = bitstream.frame_bits(cfg, mode)
+    bits = bitstream.frame_bits(cfg, header.packing_mode)
     metrics = {
         "frames": int(frames.shape[0]),
         "total_dim": int(cfg.total_dim),
@@ -255,6 +257,7 @@ def cmd_ablate(args) -> int:
         if scheme not in baselines.SCHEMES + ("grfsq",):
             raise InvalidConfig(f"unknown scheme {scheme!r}")
     seed = _resolve_seed(args.seed)
+    _check_fps(args.fps)
     if not 0.0 <= args.holdout < 1.0:
         raise InvalidConfig("--holdout must be in [0, 1)")
     split = frames.shape[0] - int(round(args.holdout * frames.shape[0]))
@@ -322,7 +325,7 @@ def cmd_schedule_sim(args) -> int:
     )
     if args.global_dim < 0:
         raise InvalidConfig(f"--global-dim must be non-negative, got {args.global_dim}")
-    speech = generation.load_speech_tokens(args.speech, vocab=args.vocab, rate=args.fps)
+    speech = generation.load_speech_tokens(args.speech, vocab=args.vocab)
     controls = generation.load_controls(args.controls)
     if args.predictor == "uniform":
         predictor = generation.UniformPredictor(num_classes)
@@ -339,9 +342,7 @@ def cmd_schedule_sim(args) -> int:
             or train_header.config.codebook_size != num_classes
         ):
             raise ConfigMismatch("training stream shape does not match the requested grid")
-        train_speech = generation.load_speech_tokens(
-            args.train_speech, vocab=args.vocab, rate=args.fps
-        )
+        train_speech = generation.load_speech_tokens(args.train_speech, vocab=args.vocab)
         predictor = generation.BigramPredictor.fit(train_tokens, train_speech, num_classes)
 
     global_feature = np.zeros(args.global_dim)

@@ -19,16 +19,14 @@ from .errors import InvalidInput, PredictorContractViolation
 
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
-DEFAULT_TOKEN_RATE = 25.0
 
 
 @dataclass(frozen=True, eq=False)
 class SpeechTokenSeq:
-    """Discrete speech tokens at a fixed frame rate."""
+    """Discrete speech tokens, one per frame."""
 
     tokens: np.ndarray
     vocab: int = DEFAULT_SPEECH_VOCAB
-    rate: float = DEFAULT_TOKEN_RATE
 
     def __post_init__(self):
         arr = np.asarray(self.tokens)
@@ -223,14 +221,10 @@ def _rows_of(grid) -> tuple[np.ndarray, np.ndarray]:
     return grid.reshape(T * G, C), np.arange(T * G).reshape(T, G)
 
 
-def validate_prediction_grid(probs, num_frames: int | None = None, num_groups: int | None = None) -> np.ndarray:
+def validate_prediction_grid(probs) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 3:
         raise InvalidInput(f"prediction grid must be (T, G, C), got shape {arr.shape}")
-    if num_frames is not None and arr.shape[0] != num_frames:
-        raise InvalidInput(f"grid covers {arr.shape[0]} frames, expected {num_frames}")
-    if num_groups is not None and arr.shape[1] != num_groups:
-        raise InvalidInput(f"grid has {arr.shape[1]} groups, expected {num_groups}")
     # A bad value anywhere wins over a bad row sum; a row with no classes
     # sums to 0, so it fails the row-sum check.
     if arr.size and not (arr.min() >= 0.0 and math.isfinite(arr.max())):  # NaN fails both
@@ -452,9 +446,7 @@ def _table_rows(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return np.where(seen, pos, keys.size)
 
 
-def load_speech_tokens(
-    path, vocab: int = DEFAULT_SPEECH_VOCAB, rate: float = DEFAULT_TOKEN_RATE
-) -> SpeechTokenSeq:
+def load_speech_tokens(path, vocab: int = DEFAULT_SPEECH_VOCAB) -> SpeechTokenSeq:
     """Read newline-delimited integer tokens, validated against the vocab."""
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -471,12 +463,18 @@ def load_speech_tokens(
                     f"{path}:{lineno}: token {value} outside vocab [0, {vocab})"
                 )
             tokens.append(value)
-    return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab, rate=rate)
+    return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab)
+
+
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _finite_floats(values) -> list[float] | None:
-    """Numbers as floats, or None if any is not finite; an integer too large
-    for a float (JSON allows one) counts as not finite."""
+    """JSON numbers as floats, or None unless every value is a finite int or
+    float. A bool is no number here, though Python makes it an int; an
+    integer too large for a float (JSON allows one) counts as not finite."""
+    if not set(map(type, values)) <= _JSON_NUMBERS:
+        return None
     try:
         floats = [float(v) for v in values]
     except OverflowError:
@@ -502,9 +500,7 @@ def load_controls(path) -> ControlTrack:
                 value = record.get(key)
                 floats = (
                     _finite_floats(value)
-                    if isinstance(value, list)
-                    and len(value) == width
-                    and all(isinstance(v, (int, float)) for v in value)
+                    if isinstance(value, list) and len(value) == width
                     else None
                 )
                 if floats is None:

@@ -473,6 +473,31 @@ class TestBatchPackerMatchesReference:
             read_stream(io.BytesIO(raw))
 
 
+@pytest.mark.parametrize("mode", [MODE_MIXED_RADIX, MODE_FIXED_WIDTH], ids=["mixed", "fixed"])
+@pytest.mark.parametrize(
+    "levels",
+    # base 2: 62 digits per limb; [255]*7 + [131]: one digit per limb in both
+    # modes, fixed-width at base 2**63
+    [(2,), (255,) * 7 + (131,)],
+    ids=["base-2", "largest-codebook"],
+)
+def test_limb_extremes_match_reference(levels, mode):
+    # 128 digits a frame: at base 2, two full limbs and a top limb of 4 digits
+    cfg = GrfsqConfig(16, 8, LevelSpec(levels), len(levels))
+    size = cfg.codebook_size
+    tensor = np.random.default_rng(29).integers(0, size, size=(70, 16, 8), dtype=np.int64)
+    tensor[0] = size - 1
+    tensor[-1] = 0
+    header = StreamHeader(config=cfg, frame_count=70, fps=25.0, packing_mode=mode)
+    blocks = [reference_pack(frame.reshape(-1).tolist(), cfg, mode) for frame in tensor]
+    assert payload_of(header, tensor) == b"".join(blocks)
+    buf = io.BytesIO()
+    write_stream(header, tensor, buf)
+    buf.seek(0)
+    _, got = read_stream(buf)
+    assert got.tolist() == [reference_unpack(b, cfg, mode) for b in blocks]
+
+
 class TestStreamFuzz:
     """Mutated, truncated and extended streams either decode to a stream that
     re-encodes to the same bytes, or raise CorruptStream; never anything else."""

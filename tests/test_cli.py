@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grfsq.cli import main
 
@@ -110,6 +114,43 @@ class TestEncode:
                                    "--groups", "1", "--levels", "5,5")
         assert code == 2
         assert f"{path}:2" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["[true, false]", "[0.5, true]"])
+    def test_boolean_value_exits_2(self, tmp_path, capsys, row):
+        path = tmp_path / "bools.jsonl"
+        path.write_text(f"[0.0, 0.0]\n{row}\n")
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out),
+                                   "--groups", "1", "--levels", "5,5")
+        assert code == 2
+        assert f"{path}:2" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, calibrate", [
+        (("--fps", "0", "--groups", "75"), False),
+        (("--fps", "0"), True),
+        (("--groups", "300", "--levels", "2"), False),  # 300 groups overflow the u8 field
+        (("--fps", "1e39", "--levels", "5,5,5"), True),
+    ], ids=["fps", "fps-calibrated", "groups", "fps-f32-calibrated"])
+    def test_stream_limits_checked_before_quantizing(
+        self, tmp_path, capsys, monkeypatch, flags, calibrate
+    ):
+        from grfsq import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("frames were processed before the stream limits were checked")
+
+        monkeypatch.setattr(cli, "quantize_sequence", fail)
+        monkeypatch.setattr(cli, "calibrate_projections", fail)
+        path = tmp_path / "frames.jsonl"
+        write_jsonl_frames(path, np.random.default_rng(68).uniform(-1, 1, size=(6, 300)))
+        out = tmp_path / "x.grfq"
+        extra = ("--calibrate", str(path)) if calibrate else ()
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out), *flags, *extra)
+        assert code == 3, stderr
         assert stdout == ""
         assert not out.exists()
 
@@ -302,7 +343,9 @@ class TestAblate:
         book = codebook_from_bytes(blob)
         assert book.k == 8 and book.dim == 12
 
-    @pytest.mark.parametrize("bad_flag", [("--groups", "0"), ("--grvq-k", "5000")])
+    @pytest.mark.parametrize("bad_flag", [
+        ("--groups", "0"), ("--grvq-k", "5000"), ("--fps", "0"), ("--seed", "-1"),
+    ])
     def test_every_scheme_checked_before_fitting(
         self, tmp_path, capsys, monkeypatch, frames12, bad_flag
     ):
@@ -430,6 +473,23 @@ class TestScheduleSim:
         assert f"{controls}:2" in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize("field", [
+        '"h": [0.0, true, 0.0], "g": [0.0, 0.0], "b": [0.0, 0.0]',
+        '"h": [0.0, 0.0, 0.0], "g": [0.0, 0.0], "b": [false, false]',
+    ], ids=["h", "b"])
+    def test_control_boolean_exits_2(self, tmp_path, capsys, field):
+        speech, controls = self.write_speech_and_controls(tmp_path, 3)
+        lines = controls.read_text().splitlines()
+        lines[1] = "{%s}" % field
+        controls.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--vocab", "32",
+        )
+        assert code == 2
+        assert f"{controls}:2" in stderr
+        assert stdout == ""
+
     def test_stream_limits_checked_before_generation(self, tmp_path, capsys, monkeypatch):
         from grfsq import generation
 
@@ -476,6 +536,98 @@ def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     assert not (tmp_path / "x.grfq").exists()
 
 
+class TestArgvFuzz:
+    """Every numeric flag of every command, drawn from a small range or the
+    edge values 0, -1 and 256, on tiny inputs: each run exits 0, 2, 3 or 4 and
+    prints either nothing or one JSON document. Ranges stay small so no draw
+    allocates a large array."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        rng = np.random.default_rng(69)
+        # 12 values a frame, so every group count from 1 to 4 divides it
+        write_jsonl_frames(root / "frames.jsonl", rng.uniform(-1, 1, size=(24, 12)))
+        write_jsonl_frames(root / "calib.jsonl", rng.normal(size=(16, 12)))
+        TestScheduleSim().write_speech_and_controls(root, 6, vocab=4)
+        return root
+
+    @staticmethod
+    def flags(data, **draws) -> list[str]:
+        """--name=value for each name=strategy. At most two flags take an edge
+        value instead, so most runs get past the checks. A list value is
+        joined with commas, and an edge replaces its last entry."""
+        edged = data.draw(st.sets(st.sampled_from(sorted(draws)), max_size=2))
+        out = []
+        for name, strategy in draws.items():
+            value = data.draw(strategy)
+            if name in edged:
+                edge = data.draw(st.sampled_from([0, -1, 256]))
+                value = value[:-1] + [edge] if isinstance(value, list) else edge
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            out.append(f"--{name.replace('_', '-')}={value}")
+        return out
+
+    @staticmethod
+    def run_cli(argv) -> int:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if out.getvalue():
+            json.loads(out.getvalue())  # exactly one JSON document
+        else:
+            assert code != 0, argv
+        return code
+
+    QUANTIZER = dict(
+        groups=st.integers(1, 4), residuals=st.integers(1, 4),
+        levels=st.lists(st.integers(2, 5), min_size=1, max_size=4),
+        fps=st.integers(1, 30), seed=st.integers(0, 9),
+    )
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_encode_and_decode(self, inputs, data):
+        stream = inputs / "x.grfq"
+        stream.unlink(missing_ok=True)
+        argv = ["encode", str(inputs / "frames.jsonl"), str(stream)]
+        argv += self.flags(data, **self.QUANTIZER)
+        argv.append("--packing=" + data.draw(st.sampled_from(["mixed-radix", "fixed-width"])))
+        if data.draw(st.booleans()):
+            argv.append(f"--calibrate={inputs / 'calib.jsonl'}")
+        if self.run_cli(argv) == 0:
+            assert self.run_cli(["decode", str(stream), str(inputs / "decoded.jsonl")]) == 0
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ablate(self, inputs, data):
+        schemes = data.draw(st.sets(st.sampled_from(["vq", "gvq", "rvq", "grvq", "grfsq"]),
+                                    min_size=1))
+        argv = ["ablate", str(inputs / "frames.jsonl"), "--schemes=" + ",".join(sorted(schemes))]
+        k, groups, residuals = st.integers(1, 8), st.integers(1, 4), st.integers(1, 3)
+        argv += self.flags(
+            data, **self.QUANTIZER, vq_k=k, gvq_groups=groups, gvq_k=k,
+            rvq_residuals=residuals, rvq_k=k, grvq_groups=groups, grvq_residuals=residuals,
+            grvq_k=k, kmeans_iters=st.integers(0, 4),
+            holdout=st.sampled_from([0.0, 0.25, 0.5]),
+        )
+        self.run_cli(argv)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_schedule_sim(self, inputs, data):
+        argv = [
+            "schedule-sim", "--speech", str(inputs / "speech.txt"),
+            "--controls", str(inputs / "controls.jsonl"), "--out", str(inputs / "sim.grfq"),
+        ]
+        argv += self.flags(
+            data, **self.QUANTIZER, vocab=st.integers(4, 8), global_dim=st.integers(0, 4)
+        )
+        self.run_cli(argv)
+
+
 class TestDeterminism:
     def test_encode_twice_byte_identical(self, tmp_path, capsys, frames48):
         path, _ = frames48
@@ -499,6 +651,16 @@ class TestDeterminism:
         code2, stdout2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert stdout1 == stdout2
+
+    def test_non_integer_env_seed_exits_3(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "frames.jsonl"
+        write_jsonl_frames(path, np.zeros((8, 4)))
+        monkeypatch.setenv("GRFQ_SEED", "abc")
+        code, stdout, stderr = run(capsys, "ablate", str(path), "--schemes", "vq",
+                                   "--vq-k", "2", "--groups", "1", "--levels", "5,5,5,5")
+        assert code == 3
+        assert "GRFQ_SEED" in stderr
+        assert stdout == ""
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(67)

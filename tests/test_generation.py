@@ -446,7 +446,7 @@ class TestBlockedValidation:
     @pytest.mark.parametrize("T", [0, 1, 3, 4, 5, 13])
     def test_valid_grids_of_any_length(self, T):
         grid = self.uniform(T)
-        assert validate_prediction_grid(grid, num_frames=T, num_groups=self.G) is grid
+        assert validate_prediction_grid(grid) is grid
 
     def test_frames_not_a_multiple_of_the_real_block(self):
         T = 10927  # two blocks of 5461 frames and 5 more, when validation ran in blocks
