@@ -56,6 +56,10 @@ class BaselineConfig:
             raise InvalidConfig(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.codebook_size < 1 or self.groups < 1 or self.residuals < 1:
             raise InvalidConfig("codebook_size, groups and residuals must be positive")
+        if self.residuals > 255:
+            raise InvalidConfig(f"residuals ({self.residuals}) exceed the 255-stage limit")
+        if self.kmeans_iters < 0:
+            raise InvalidConfig(f"kmeans_iters must be non-negative, got {self.kmeans_iters}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "vq" and (self.groups != 1 or self.residuals != 1):

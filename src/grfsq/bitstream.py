@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
-from .fsq import LevelSpec, _flatten, _unflatten
+from .fsq import LevelSpec, _checked_ints, _flatten, _unflatten
 from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
@@ -122,15 +122,7 @@ def _pack_blocks(flat: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[byte
     """Pack T frames of G*R indices, `flat` of shape (T, G*R), into their
     blocks. Indices are checked at once; the blocks come lazily, in runs of
     `_PACK_CELLS` indices, one numpy pass per run."""
-    size = cfg.codebook_size
-    if flat.size:
-        whole = flat.dtype.kind in "biu" or (
-            flat.dtype.kind == "f" and np.all(np.isfinite(flat) & (flat == np.floor(flat)))
-        )
-        if not whole:
-            raise InvalidIndex("indices must be integers")
-        if flat.min() < 0 or flat.max() >= size:
-            raise InvalidIndex(f"index out of range for codebook size {size}")
+    flat = _checked_ints(flat, cfg.codebook_size, "indices", InvalidIndex)
     base, rev = _radix(cfg, mode)
     spec = _limb_spec(base)
     nbits = frame_bits(cfg, mode)
@@ -157,13 +149,13 @@ def _pack_run(digits: np.ndarray, spec: LevelSpec, nbits: int) -> bytes:
     return b"".join(blocks)
 
 
-def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int) -> np.ndarray:
-    """Invert `_pack_blocks` for a payload of whole blocks; returns (T, G, R)
-    indices. The first bad frame raises CorruptStream: nonzero padding
-    first, then an index past the codebook range."""
+def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarray:
+    """Invert `_pack_blocks` for a payload of whole blocks of `nbits` bits
+    each, padded to bytes; returns (T, G, R) indices. The first bad frame
+    raises CorruptStream: nonzero padding first, then an index past the
+    codebook range."""
     base, rev = _radix(cfg, mode)
     spec = _limb_spec(base)
-    nbits = frame_bits(cfg, mode)
     count = cfg.num_groups * cfg.num_residuals
     nbytes = (nbits + 7) // 8
     frames = len(payload) // nbytes
@@ -222,10 +214,10 @@ def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes
 
 def frame_unpack(block: bytes, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> np.ndarray:
     """Invert :func:`frame_pack`; padding bits must be zero."""
-    nbytes = frame_block_bytes(cfg, mode)
-    if len(block) != nbytes:
-        raise CorruptStream(f"block is {len(block)} bytes, expected {nbytes}")
-    return _unpack_blocks(block, cfg, mode)[0]
+    nbits = frame_bits(cfg, mode)
+    if len(block) != (nbits + 7) // 8:
+        raise CorruptStream(f"block is {len(block)} bytes, expected {(nbits + 7) // 8}")
+    return _unpack_blocks(block, cfg, mode, nbits)[0]
 
 
 def _encode_header(header: StreamHeader) -> bytes:
@@ -327,15 +319,22 @@ def read_stream(source) -> tuple[StreamHeader, np.ndarray]:
     """Read a full stream; rejects truncation and trailing garbage.
 
     The payload length is checked against the header before anything is
-    sized from its frame count.
+    sized from its frame count. The exact block width, a power of G*R
+    digits, is computed only once the payload holds `frame_count` blocks of
+    the width's cheap lower bound, `G*R*(bit_length(base) - 1)` bits, so a
+    header's cost is bounded by the bytes present.
     """
     header = _decode_header(source)
-    cfg = header.config
-    nbytes = frame_block_bytes(cfg, header.packing_mode)
+    cfg, mode, frames = header.config, header.packing_mode, header.frame_count
     payload = source.read()
-    expected = header.frame_count * nbytes
+    nbits = cfg.num_groups * cfg.num_residuals * (_radix(cfg, mode)[0].bit_length() - 1)
+    if frames and len(payload) >= frames * ((nbits + 7) // 8):
+        nbits = frame_bits(cfg, mode)
+    expected = frames * ((nbits + 7) // 8)
     if len(payload) < expected:
-        raise CorruptStream(f"truncated payload: wanted {expected} bytes, got {len(payload)}")
+        raise CorruptStream(
+            f"truncated payload: wanted at least {expected} bytes, got {len(payload)}"
+        )
     if len(payload) > expected:
         raise CorruptStream(f"trailing data: {len(payload) - expected} bytes after final block")
-    return header, _unpack_blocks(payload, cfg, header.packing_mode)
+    return header, _unpack_blocks(payload, cfg, mode, nbits)

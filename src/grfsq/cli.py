@@ -226,7 +226,9 @@ def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
     """One ablation row's config, checked against the training frames so a
     bad flag fails before any codebook is fit."""
     if scheme == "grfsq":
-        return _build_config(args, train.shape[1])
+        cfg = _build_config(args, train.shape[1])
+        bitstream.StreamHeader(config=cfg, frame_count=0, fps=args.fps)  # checks the stream limits
+        return cfg
     groups, residuals, k = {
         "vq": (1, 1, args.vq_k),
         "gvq": (args.gvq_groups, 1, args.gvq_k),
@@ -323,8 +325,6 @@ def cmd_schedule_sim(args) -> int:
     header = bitstream.StreamHeader(
         config=cfg, frame_count=0, fps=args.fps, packing_mode=bitstream.MODE_MIXED_RADIX
     )
-    if args.global_dim < 0:
-        raise InvalidConfig(f"--global-dim must be non-negative, got {args.global_dim}")
     speech = generation.load_speech_tokens(args.speech, vocab=args.vocab)
     controls = generation.load_controls(args.controls)
     if args.predictor == "uniform":
@@ -345,10 +345,9 @@ def cmd_schedule_sim(args) -> int:
         train_speech = generation.load_speech_tokens(args.train_speech, vocab=args.vocab)
         predictor = generation.BigramPredictor.fit(train_tokens, train_speech, num_classes)
 
-    global_feature = np.zeros(args.global_dim)
     tokens, nll_per_layer = generation.generate(
         predictor,
-        global_feature,
+        np.zeros(0),  # no global feature: no predictor here reads one
         speech,
         controls,
         num_layers=args.residuals,
@@ -441,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--predictor", choices=("uniform", "bigram"), default="uniform")
     sim.add_argument("--train-motion", help=".grfq stream of target tensors for bigram")
     sim.add_argument("--train-speech", help="speech tokens aligned with --train-motion")
-    sim.add_argument("--global-dim", type=int, default=8)
     sim.set_defaults(func=cmd_schedule_sim)
     return parser
 

@@ -84,18 +84,28 @@ def _finite_vector(z, d: int, name: str = "input") -> np.ndarray:
     return arr
 
 
+def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray:
+    """The one rule for codes, indices and tokens: `values` as a fresh int64
+    array, or `error`. An empty array passes; otherwise the dtype must be
+    integer (not bool) or float with only finite whole numbers, and every
+    value must lie in [0, high), `high` broadcast against the values."""
+    arr = np.asarray(values)
+    if arr.size:
+        whole = np.issubdtype(arr.dtype, np.integer) or (
+            arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.floor(arr)))
+        )
+        if not whole:
+            raise error(f"{what} must be integers")
+        if arr.min() < 0 or np.any(arr >= high):
+            raise error(f"{what} must lie in [0, {high})")
+    return arr.astype(np.int64)
+
+
 def _checked_codes(codes, spec: LevelSpec) -> np.ndarray:
     arr = np.asarray(codes)
     if arr.ndim != 1 or arr.shape[0] != spec.d:
         raise InvalidCode(f"expected {spec.d} codes, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.floor(arr)):
-            raise InvalidCode("codes must be integers")
-    arr = arr.astype(np.int64)
-    levels = np.asarray(spec.levels)
-    if np.any(arr < 0) or np.any(arr >= levels):
-        raise InvalidCode(f"codes {arr.tolist()} out of range for levels {spec.levels}")
-    return arr
+    return _checked_ints(arr, spec.levels, "codes", InvalidCode)
 
 
 def bound(z, spec: LevelSpec) -> np.ndarray:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PredictorContractViolation
+from .fsq import _checked_ints
 
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
@@ -32,13 +33,9 @@ class SpeechTokenSeq:
         arr = np.asarray(self.tokens)
         if arr.ndim != 1:
             raise InvalidInput(f"tokens must be 1-D, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidInput("tokens must be integers")
         if self.vocab < 1:
             raise InvalidInput("vocab must be positive")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.vocab):
-            raise InvalidInput(f"tokens must lie in [0, {self.vocab})")
-        arr = arr.astype(np.int64)
+        arr = _checked_ints(arr, self.vocab, "tokens", InvalidInput)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
 
@@ -190,10 +187,7 @@ class RowGrid:
             raise InvalidInput(
                 f"row grid needs (P, C) rows and (T, G) indices, got {rows.shape}, {which.shape}"
             )
-        if not np.issubdtype(which.dtype, np.integer):
-            raise InvalidInput("row indices must be integers")
-        if which.size and (which.min() < 0 or which.max() >= rows.shape[0]):
-            raise InvalidInput(f"row indices must lie in [0, {rows.shape[0]})")
+        which = _checked_ints(which, rows.shape[0], "row indices", InvalidInput)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "which", which)
 
@@ -242,12 +236,7 @@ def nll(predictions, targets) -> float:
         raise InvalidInput(
             f"targets shape {tgt.shape} does not match grid {probs.shape[:2]}"
         )
-    if tgt.size == 0:
-        return 0.0
-    if not np.issubdtype(tgt.dtype, np.integer):
-        raise InvalidInput("targets must be integers")
-    if tgt.min() < 0 or tgt.max() >= probs.shape[2]:
-        raise InvalidInput(f"targets must lie in [0, {probs.shape[2]})")
+    tgt = _checked_ints(tgt, probs.shape[2], "targets", InvalidInput)
     return _picked_nll(*_rows_of(probs), tgt)
 
 
@@ -345,9 +334,10 @@ class EchoPredictor:
         arr = np.asarray(target)
         if arr.ndim != 3:
             raise InvalidInput(f"target must be (T, G, R), got shape {arr.shape}")
-        self.target = arr.astype(np.int64)
+        high = np.iinfo(np.int64).max if num_classes is None else num_classes
+        self.target = _checked_ints(arr, high, "targets", InvalidInput)
         if num_classes is None:
-            num_classes = int(arr.max()) + 1 if arr.size else 1
+            num_classes = int(self.target.max(initial=0)) + 1
         self.num_classes = num_classes
 
     def __call__(self, context: GenerationContext) -> np.ndarray:
@@ -392,11 +382,7 @@ class BigramPredictor:
         T, G, R = arr.shape
         if len(speech) != T:
             raise InvalidInput(f"speech covers {len(speech)} frames, targets cover {T}")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidInput("targets must be integers")
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise InvalidInput(f"targets must lie in [0, {num_classes})")
-        arr = arr.astype(np.int64, copy=False)
+        arr = _checked_ints(arr, num_classes, "targets", InvalidInput)
         model = cls(num_classes, R)
         speech_per_cell = np.broadcast_to(speech.tokens[:, None], (T, G))
         for r in range(R):

@@ -22,7 +22,9 @@ from .errors import (
     InvalidIndex,
     InvalidInput,
 )
-from .fsq import LevelSpec, _finite_vector, _flatten, _grid_values, _nearest_codes, _unflatten
+from .fsq import (
+    LevelSpec, _checked_ints, _finite_vector, _flatten, _grid_values, _nearest_codes, _unflatten,
+)
 
 DEFAULT_GROUPS = 12
 DEFAULT_RESIDUALS = 4
@@ -122,7 +124,11 @@ class UtilizationReport:
 
     per_codebook_percent: np.ndarray  # (num_groups, num_residuals)
     mean_percent: float
-    empty: bool = False
+
+    @property
+    def empty(self) -> bool:
+        """No tokens seen: any token puts every codebook above 0 %."""
+        return self.mean_percent == 0.0
 
 
 def _project(stacked: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -170,11 +176,7 @@ def _checked_indices(indices, cfg: GrfsqConfig) -> np.ndarray:
     block = (cfg.num_groups, cfg.num_residuals)
     if arr.shape[-2:] != block:
         raise InvalidIndex(f"expected index shape (..., {block[0]}, {block[1]}), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise InvalidIndex("indices must be integers")
-    if np.any(arr < 0) or np.any(arr >= cfg.codebook_size):
-        raise InvalidIndex(f"indices out of range for codebook size {cfg.codebook_size}")
-    return arr
+    return _checked_ints(arr, cfg.codebook_size, "indices", InvalidIndex)
 
 
 def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
@@ -292,12 +294,12 @@ def bitrate(cfg: GrfsqConfig, fps: float) -> float:
     return _token_bitrate(cfg.num_groups * cfg.num_residuals, cfg.codebook_size, fps)
 
 
-def float_stream_bitrate(dims: int, fps: float, bits_per_scalar: int = 32) -> float:
-    """Bitrate of an uncompressed float latent stream, for comparison rows."""
-    if dims < 1 or bits_per_scalar < 1:
-        raise InvalidConfig("dims and bits_per_scalar must be positive")
+def float_stream_bitrate(dims: int, fps: float) -> float:
+    """Bitrate of an uncompressed 32-bit float latent stream, for comparison rows."""
+    if dims < 1:
+        raise InvalidConfig("dims must be positive")
     _check_fps(fps)
-    return dims * bits_per_scalar * fps
+    return dims * 32 * fps
 
 
 def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> UtilizationReport:
@@ -307,12 +309,9 @@ def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> Uti
         raise ConfigMismatch(
             f"expected token shape (T, {groups}, {residuals}), got {arr.shape}"
         )
-    if arr.size and (np.any(arr < 0) or np.any(arr >= codebook_size)):
-        raise InvalidIndex("token indices out of codebook range")
-    if not len(arr):
-        return UtilizationReport(np.zeros((groups, residuals)), 0.0, empty=True)
-    ordered = np.sort(arr, axis=0)
-    count = 1 + (ordered[1:] != ordered[:-1]).sum(axis=0)  # distinct tokens per book
+    ordered = np.sort(_checked_ints(arr, codebook_size, "token indices", InvalidIndex), axis=0)
+    # distinct tokens per book: the first token, then one per change in sorted order
+    count = (len(arr) > 0) + (ordered[1:] != ordered[:-1]).sum(axis=0)
     per = 100.0 * count / codebook_size
     return UtilizationReport(per_codebook_percent=per, mean_percent=float(per.mean()))
 

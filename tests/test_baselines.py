@@ -37,6 +37,13 @@ class TestBaselineConfig:
         with pytest.raises(InvalidConfig):
             BaselineConfig("soundstream", 8)
 
+    def test_counts_past_what_a_fit_can_honour(self):
+        BaselineConfig("rvq", 8, residuals=255, kmeans_iters=0)
+        with pytest.raises(InvalidConfig, match="255"):
+            BaselineConfig("rvq", 8, residuals=256)
+        with pytest.raises(InvalidConfig, match="kmeans_iters"):
+            BaselineConfig("vq", 8, kmeans_iters=-1)
+
     def test_codebook_validation(self):
         with pytest.raises(InvalidConfig):
             Codebook(np.array([[np.nan, 0.0]]))

@@ -222,6 +222,62 @@ class TestStreamRoundTrip:
             write_stream(header, np.zeros((3, 12, 4), dtype=np.int64), io.BytesIO())
 
 
+class TestReadCostBoundedByBytes:
+    """255 groups x 255 residuals over a 63-bit codebook: the exact block
+    width is a power of about four million bits, so reading must not compute
+    it until the payload could hold the declared blocks."""
+
+    @staticmethod
+    def huge_header(frame_count: int) -> bytes:
+        levels = bytes([255] * 7 + [131])
+        return (
+            struct.pack("<4sBBBB", b"GRFQ", STREAM_VERSION, 255, 255, len(levels))
+            + levels
+            + struct.pack("<HHIfBB", 8, 255 * 8, frame_count, 25.0, MODE_MIXED_RADIX, 0)
+        )
+
+    @staticmethod
+    def count_width_calls(monkeypatch) -> list:
+        from grfsq import bitstream
+
+        calls = []
+
+        def counted(cfg, mode):
+            calls.append(mode)
+            return frame_bits(cfg, mode)
+
+        monkeypatch.setattr(bitstream, "frame_bits", counted)
+        return calls
+
+    def test_zero_frames_read_without_the_exact_width(self, monkeypatch):
+        calls = self.count_width_calls(monkeypatch)
+        raw = self.huge_header(0)
+        assert len(raw) == 30
+        header, tensor = read_stream(io.BytesIO(raw))
+        assert header.frame_count == 0
+        assert tensor.shape == (0, 255, 255)
+        with pytest.raises(CorruptStream, match="trailing data"):
+            read_stream(io.BytesIO(raw + b"\0"))
+        assert calls == []
+
+    def test_missing_payload_reported_without_the_exact_width(self, monkeypatch):
+        calls = self.count_width_calls(monkeypatch)
+        with pytest.raises(CorruptStream, match="truncated payload"):
+            read_stream(io.BytesIO(self.huge_header(1)))
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", [MODE_MIXED_RADIX, MODE_FIXED_WIDTH])
+    def test_valid_stream_computes_the_width_once(self, monkeypatch, mode):
+        tensor = np.random.default_rng(27).integers(0, 625, size=(5, 12, 4))
+        header = StreamHeader(config=DEFAULT, frame_count=5, fps=25.0, packing_mode=mode)
+        buf = io.BytesIO()
+        write_stream(header, tensor, buf)
+        calls = self.count_width_calls(monkeypatch)
+        _, got = read_stream(io.BytesIO(buf.getvalue()))
+        assert np.array_equal(got, tensor)
+        assert calls == [mode]
+
+
 class TestCorruptionDetection:
     def make_stream(self, frame_count=3) -> bytes:
         rng = np.random.default_rng(26)

@@ -519,12 +519,15 @@ class TestScheduleSim:
 @pytest.mark.parametrize("argv", [
     ("encode", "{frames}", "{out}", "--groups", "0"),
     ("ablate", "{frames}", "--schemes", "grfsq", "--groups", "0"),
-    ("schedule-sim", "--speech", "{speech}", "--controls", "{controls}", "--out", "{out}",
-     "--global-dim", "-1"),
     ("ablate", "{frames}", "--schemes", ",", "--format", "csv"),
     ("ablate", "{frames}", "--schemes", ","),
-], ids=["encode-groups-0", "ablate-groups-0", "schedule-sim-global-dim", "ablate-no-schemes-csv",
-        "ablate-no-schemes-json"])
+    ("ablate", "{frames}", "--schemes", "vq", "--vq-k", "2", "--kmeans-iters", "-1"),
+    ("ablate", "{frames}", "--schemes", "rvq", "--rvq-k", "2",
+     "--rvq-residuals", "1000000000000"),
+    ("ablate", "{frames}", "--schemes", "grfsq", "--residuals", "1000000000000"),
+], ids=["encode-groups-0", "ablate-groups-0", "ablate-no-schemes-csv", "ablate-no-schemes-json",
+        "ablate-kmeans-iters-negative", "ablate-rvq-residuals-huge",
+        "ablate-grfsq-residuals-huge"])
 def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 40)
     paths = {"frames": frames48[0], "out": tmp_path / "x.grfq",
@@ -538,9 +541,11 @@ def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
 
 class TestArgvFuzz:
     """Every numeric flag of every command, drawn from a small range or the
-    edge values 0, -1 and 256, on tiny inputs: each run exits 0, 2, 3 or 4 and
-    prints either nothing or one JSON document. Ranges stay small so no draw
-    allocates a large array."""
+    edge values 0, -1, 256 and 10**12, on tiny inputs: each run exits 0, 2, 3
+    or 4 and prints either nothing or one JSON document. Ranges stay small,
+    and a huge count must be refused before it sizes anything, so no draw
+    allocates a large array. --kmeans-iters never takes the huge edge: a
+    large iteration count is valid work."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -562,7 +567,8 @@ class TestArgvFuzz:
         for name, strategy in draws.items():
             value = data.draw(strategy)
             if name in edged:
-                edge = data.draw(st.sampled_from([0, -1, 256]))
+                huge = [] if name == "kmeans_iters" else [10**12]
+                edge = data.draw(st.sampled_from([0, -1, 256] + huge))
                 value = value[:-1] + [edge] if isinstance(value, list) else edge
             if isinstance(value, list):
                 value = ",".join(map(str, value))
@@ -622,9 +628,7 @@ class TestArgvFuzz:
             "schedule-sim", "--speech", str(inputs / "speech.txt"),
             "--controls", str(inputs / "controls.jsonl"), "--out", str(inputs / "sim.grfq"),
         ]
-        argv += self.flags(
-            data, **self.QUANTIZER, vocab=st.integers(4, 8), global_dim=st.integers(0, 4)
-        )
+        argv += self.flags(data, **self.QUANTIZER, vocab=st.integers(4, 8))
         self.run_cli(argv)
 
 
