@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig
+from .fsq import _checked_int, _checked_reals
 from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utilization
 
 SCHEMES = ("vq", "gvq", "rvq", "grvq")
@@ -25,11 +26,9 @@ class Codebook:
     entries: np.ndarray  # (k, dim)
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.float64)
+        arr = _checked_reals(self.entries, "codebook", InvalidConfig).copy()
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise InvalidConfig(f"codebook must be (k, dim) with k >= 1, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidConfig("codebook contains non-finite entries")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -54,14 +53,12 @@ class BaselineConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise InvalidConfig(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.codebook_size < 1 or self.groups < 1 or self.residuals < 1:
-            raise InvalidConfig("codebook_size, groups and residuals must be positive")
+        lows = {"codebook_size": 1, "groups": 1, "residuals": 1, "kmeans_iters": 0, "seed": 0}
+        for name, low in lows.items():
+            count = _checked_int(getattr(self, name), name, InvalidConfig, low)
+            object.__setattr__(self, name, count)
         if self.residuals > 255:
             raise InvalidConfig(f"residuals ({self.residuals}) exceed the 255-stage limit")
-        if self.kmeans_iters < 0:
-            raise InvalidConfig(f"kmeans_iters must be non-negative, got {self.kmeans_iters}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
         if self.scheme == "vq" and (self.groups != 1 or self.residuals != 1):
             raise InvalidConfig("vq uses exactly one group and one residual stage")
         if self.scheme == "gvq" and self.residuals != 1:
@@ -99,8 +96,6 @@ def _kmeans(data: np.ndarray, k: int, iters: int, seeds) -> tuple[np.ndarray, np
     equal those of a one-group run.
     """
     G, n, dim = data.shape
-    if k < 1:
-        raise InvalidConfig("k must be >= 1")
     if k > n:
         raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -122,7 +117,7 @@ def _kmeans(data: np.ndarray, k: int, iters: int, seeds) -> tuple[np.ndarray, np
     active = np.ones(G, dtype=bool)
     offsets = rows[:, None] * k  # label -> bin of the flattened (G, k) grid
     prev_labels = None
-    for _ in range(max(iters, 0)):
+    for _ in range(iters):
         labels = _assign(data, centers)
         if prev_labels is not None:
             active &= (labels != prev_labels).any(axis=1)
@@ -154,7 +149,10 @@ def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False
     return_history=True also returns the per-iteration distortion so
     monotonicity can be checked.
     """
-    centers, history = _kmeans(_frames_array(data)[None], k, iters, [seed])
+    k = _checked_int(k, "k", InvalidConfig, low=1)
+    iters = _checked_int(iters, "iters", InvalidConfig)
+    seeds = [_checked_int(seed, "seed", InvalidConfig)]
+    centers, history = _kmeans(_frames_array(data)[None], k, iters, seeds)
     book = Codebook(centers[0])
     if return_history:
         return book, history[:, 0]

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
-from .fsq import LevelSpec, _checked_ints, _flatten, _unflatten
+from .fsq import LevelSpec, _checked_int, _checked_ints, _flatten, _unflatten
 from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
@@ -66,10 +66,9 @@ class StreamHeader:
             stored = np.float32(self.fps)  # the header field is single precision
         if not (np.isfinite(stored) and stored > 0):
             raise InvalidConfig(f"fps {self.fps} does not fit a single-precision header field")
-        if self.packing_mode not in PACKING_MODE_NAMES:
-            raise InvalidConfig(f"unknown packing mode {self.packing_mode}")
-        if self.frame_count < 0 or self.frame_count > 2**32 - 1:
-            raise InvalidConfig(f"frame_count {self.frame_count} outside u32 range")
+        for name, high in (("frame_count", 2**32), ("packing_mode", len(PACKING_MODE_NAMES))):
+            value = _checked_int(getattr(self, name), name, InvalidConfig, high=high)
+            object.__setattr__(self, name, value)
         cfg = self.config
         if cfg.num_groups > 255 or cfg.num_residuals > 255 or cfg.level_spec.d > 255:
             raise InvalidConfig("groups, residuals and grid dimension must fit in a byte")

@@ -12,6 +12,7 @@ mixed-radix flat index with dimension 0 as the least significant digit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +37,11 @@ class LevelSpec:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(int(l) for l in self.levels)
+        levels = tuple(_checked_int(l, "level count", InvalidConfig, low=2) for l in self.levels)
         object.__setattr__(self, "levels", levels)
         if len(levels) < 1:
             raise InvalidConfig("level spec needs at least one dimension")
-        if any(l < 2 for l in levels):
-            raise InvalidConfig(f"every level count must be >= 2, got {levels}")
-        size = 1
-        for l in levels:
-            size *= l
+        size = math.prod(levels)
         if size > _UINT64_MAX:
             raise InvalidConfig(f"codebook size {size} exceeds unsigned 64-bit range")
         object.__setattr__(self, "_size", size)
@@ -76,12 +73,44 @@ def _grid_values(codes, levels) -> np.ndarray:
 
 
 def _finite_vector(z, d: int, name: str = "input") -> np.ndarray:
-    arr = np.asarray(z, dtype=np.float64)
+    arr = _checked_reals(z, name, InvalidInput)
     if arr.ndim != 1 or arr.shape[0] != d:
         raise InvalidInput(f"{name} must be a length-{d} vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite values")
     return arr
+
+
+def _checked_reals(values, what: str, error: type[Exception]) -> np.ndarray:
+    """The one rule for real-valued arrays: `values` as a float64 array (the
+    input itself when it already is one), or `error`. The dtype must be
+    integer or float, checked before any cast; bool, complex, string, object
+    and ragged input fail, and so does any non-finite value."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nested sequences
+        raise error(f"{what} is ragged") from None
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{what} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise error(f"{what} contains non-finite values")
+    return arr
+
+
+def _checked_int(value, what: str, error: type[Exception], low: int = 0, high=None) -> int:
+    """The scalar form of `_checked_ints`: `value` as a Python int in
+    [low, high), unbounded above when `high` is None, or `error`. An int, a
+    numpy integer or a finite whole float passes; bool and every other type
+    fail. A Python int keeps indices of codebooks past 2**63 exact."""
+    whole = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)) or (
+        isinstance(value, (float, np.floating)) and float(value).is_integer()
+    )
+    if not whole:
+        raise error(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or (high is not None and value >= high):
+        bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high})"
+        raise error(f"{what} must {bounds}, got {value}")
+    return value
 
 
 def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray:
@@ -157,7 +186,7 @@ def fsq_quantize(z, spec: LevelSpec) -> tuple[np.ndarray, np.ndarray]:
 def fsq_dequantize(codes, spec: LevelSpec) -> np.ndarray:
     """Exact grid values for a code point; no rounding involved."""
     arr = _checked_codes(codes, spec)
-    return _grid_values(arr, np.asarray(spec.levels, dtype=np.float64))
+    return _grid_values(arr, spec.levels)
 
 
 def codes_to_index(codes, spec: LevelSpec) -> int:
@@ -167,9 +196,7 @@ def codes_to_index(codes, spec: LevelSpec) -> int:
 
 def index_to_codes(index: int, spec: LevelSpec) -> np.ndarray:
     """Invert :func:`codes_to_index`."""
-    idx = int(index)
-    if idx < 0 or idx >= spec.codebook_size:
-        raise InvalidIndex(f"index {idx} out of range for codebook size {spec.codebook_size}")
+    idx = _checked_int(index, "index", InvalidIndex, high=spec.codebook_size)
     return _unflatten(idx, spec).astype(np.int64)
 
 

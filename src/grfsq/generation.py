@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PredictorContractViolation
-from .fsq import _checked_ints
+from .fsq import _checked_int, _checked_ints, _checked_reals
 
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
@@ -33,8 +33,7 @@ class SpeechTokenSeq:
         arr = np.asarray(self.tokens)
         if arr.ndim != 1:
             raise InvalidInput(f"tokens must be 1-D, got shape {arr.shape}")
-        if self.vocab < 1:
-            raise InvalidInput("vocab must be positive")
+        object.__setattr__(self, "vocab", _checked_int(self.vocab, "vocab", InvalidInput, low=1))
         arr = _checked_ints(arr, self.vocab, "tokens", InvalidInput)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
@@ -52,21 +51,17 @@ class ControlTrack:
     blink: np.ndarray
 
     def __post_init__(self):
-        fields = {"head_pose": (self.head_pose, 3), "gaze": (self.gaze, 2), "blink": (self.blink, 2)}
-        arrays = {}
-        for name, (value, width) in fields.items():
-            arr = np.asarray(value, dtype=np.float64)
+        widths = {"head_pose": 3, "gaze": 2, "blink": 2}
+        for name, width in widths.items():
+            arr = _checked_reals(getattr(self, name), name, InvalidInput)
             if arr.ndim != 2 or arr.shape[1] != width:
                 raise InvalidInput(f"{name} must have shape (T, {width}), got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInput(f"{name} contains non-finite values")
-            arrays[name] = arr
-        lengths = {a.shape[0] for a in arrays.values()}
-        if len(lengths) != 1:
-            raise InvalidInput(f"control tracks disagree on length: {sorted(lengths)}")
-        for name, arr in arrays.items():
+            arr = arr.copy()  # frozen below; the caller's array stays writeable
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        lengths = {getattr(self, name).shape[0] for name in widths}
+        if len(lengths) != 1:
+            raise InvalidInput(f"control tracks disagree on length: {sorted(lengths)}")
 
     @property
     def num_frames(self) -> int:
@@ -102,8 +97,8 @@ class Schedule:
 
 def build_schedule(num_frames: int, num_layers: int) -> Schedule:
     """One pass per layer; each pass covers every frame position at once."""
-    if num_frames < 0 or num_layers < 1:
-        raise InvalidInput("need num_frames >= 0 and num_layers >= 1")
+    num_frames = _checked_int(num_frames, "num_frames", InvalidInput)
+    num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
     passes = tuple(
         LayerPass(layer=r, positions=np.arange(num_frames)) for r in range(num_layers)
     )
@@ -124,18 +119,14 @@ def assemble_context(
         raise InvalidInput(
             f"controls cover {controls.num_frames} frames, speech covers {T}"
         )
-    if layer < 0:
-        raise InvalidInput("layer must be non-negative")
-    fg = np.asarray(global_feature, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(fg)):
-        raise InvalidInput("global feature contains non-finite values")
+    layer = _checked_int(layer, "layer", InvalidInput)
+    fg = _checked_reals(global_feature, "global feature", InvalidInput).reshape(-1)
 
     if prev_tokens is not None:
         prev = np.asarray(prev_tokens)
         if prev.ndim != 2 or prev.shape[0] != T:
             raise InvalidInput(f"prev_tokens must have shape ({T}, groups), got {prev.shape}")
-        if prev.size and not np.issubdtype(prev.dtype, np.integer):
-            raise InvalidInput("prev_tokens must be integers")
+        prev = _checked_ints(prev, np.iinfo(np.int64).max, "prev_tokens", InvalidInput)
         if num_groups is not None and prev.shape[1] != num_groups:
             raise InvalidInput(
                 f"prev_tokens have {prev.shape[1]} groups, expected {num_groups}"
@@ -146,10 +137,8 @@ def assemble_context(
 
     if layer == 0:
         prev = np.zeros((T, num_groups), dtype=np.int64)
-    else:
-        if prev_tokens is None:
-            raise InvalidInput("layers above 0 need the previous layer's tokens")
-        prev = prev.astype(np.int64)
+    elif prev_tokens is None:
+        raise InvalidInput("layers above 0 need the previous layer's tokens")
 
     framewise = np.concatenate(
         [
@@ -163,7 +152,7 @@ def assemble_context(
     )
     return GenerationContext(
         global_feature=fg,
-        layer_indicator=int(layer),
+        layer_indicator=layer,
         framewise=framewise,
         prev_layer_tokens=prev,
     )
@@ -273,8 +262,8 @@ def generate(
     output tensor (T, groups, layers). No (T, G, C) array is built for a
     predictor that returns a RowGrid.
     """
-    if num_layers < 1 or num_groups < 1:
-        raise InvalidInput("num_layers and num_groups must be positive")
+    num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
+    num_groups = _checked_int(num_groups, "num_groups", InvalidInput, low=1)
     T = len(speech)
     out = np.zeros((T, num_groups, num_layers), dtype=np.int64)
     nll_per_layer = np.zeros(num_layers)
@@ -318,9 +307,7 @@ class UniformPredictor:
     """Assigns every class equal probability."""
 
     def __init__(self, num_classes: int):
-        if num_classes < 1:
-            raise InvalidInput("num_classes must be positive")
-        self.num_classes = num_classes
+        self.num_classes = _checked_int(num_classes, "num_classes", InvalidInput, low=1)
 
     def __call__(self, context: GenerationContext) -> RowGrid:
         row = np.full((1, self.num_classes), 1.0 / self.num_classes)
@@ -334,11 +321,11 @@ class EchoPredictor:
         arr = np.asarray(target)
         if arr.ndim != 3:
             raise InvalidInput(f"target must be (T, G, R), got shape {arr.shape}")
-        high = np.iinfo(np.int64).max if num_classes is None else num_classes
+        high = np.iinfo(np.int64).max
+        if num_classes is not None:
+            high = _checked_int(num_classes, "num_classes", InvalidInput, low=1)
         self.target = _checked_ints(arr, high, "targets", InvalidInput)
-        if num_classes is None:
-            num_classes = int(self.target.max(initial=0)) + 1
-        self.num_classes = num_classes
+        self.num_classes = int(self.target.max(initial=0)) + 1 if num_classes is None else high
 
     def __call__(self, context: GenerationContext) -> np.ndarray:
         layer = context.layer_indicator
@@ -365,14 +352,12 @@ class BigramPredictor:
     """
 
     def __init__(self, num_classes: int, num_layers: int):
-        if num_classes < 1 or num_layers < 1:
-            raise InvalidInput("num_classes and num_layers must be positive")
-        self.num_classes = num_classes
-        self.num_layers = num_layers
+        self.num_classes = _checked_int(num_classes, "num_classes", InvalidInput, low=1)
+        self.num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
         no_symbols = np.zeros(0, dtype=np.int64)
-        empty = _channel_table(no_symbols, no_symbols, num_classes)
-        self._prev_tables = [empty] * num_layers
-        self._speech_tables = [empty] * num_layers
+        empty = _channel_table(no_symbols, no_symbols, self.num_classes)
+        self._prev_tables = [empty] * self.num_layers
+        self._speech_tables = [empty] * self.num_layers
 
     @classmethod
     def fit(cls, targets, speech: SpeechTokenSeq, num_classes: int) -> "BigramPredictor":
@@ -382,8 +367,9 @@ class BigramPredictor:
         T, G, R = arr.shape
         if len(speech) != T:
             raise InvalidInput(f"speech covers {len(speech)} frames, targets cover {T}")
-        arr = _checked_ints(arr, num_classes, "targets", InvalidInput)
         model = cls(num_classes, R)
+        num_classes = model.num_classes
+        arr = _checked_ints(arr, num_classes, "targets", InvalidInput)
         speech_per_cell = np.broadcast_to(speech.tokens[:, None], (T, G))
         for r in range(R):
             prev = np.zeros((T, G), dtype=np.int64) if r == 0 else arr[:, :, r - 1]

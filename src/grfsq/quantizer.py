@@ -23,7 +23,8 @@ from .errors import (
     InvalidInput,
 )
 from .fsq import (
-    LevelSpec, _checked_ints, _finite_vector, _flatten, _grid_values, _nearest_codes, _unflatten,
+    LevelSpec, _checked_int, _checked_ints, _checked_reals, _finite_vector, _flatten,
+    _grid_values, _nearest_codes, _unflatten,
 )
 
 DEFAULT_GROUPS = 12
@@ -37,7 +38,7 @@ _CHUNK = 256  # frames per batched encode; bounds the (R, chunk, D) partials
 
 def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
     """Per-group projections as one read-only (groups, d, group_dim) float64 array."""
-    mats = [np.asarray(m, dtype=np.float64) for m in mats]
+    mats = [_checked_reals(m, f"projection {g}", InvalidConfig) for g, m in enumerate(mats)]
     if len(mats) != groups:
         raise InvalidConfig(f"expected {groups} projections, got {len(mats)}")
     for g, m in enumerate(mats):
@@ -46,9 +47,6 @@ def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
                 f"projection {g} must have shape ({d}, {group_dim}), got {m.shape}"
             )
     stack = np.stack(mats)
-    bad = ~np.isfinite(stack).all(axis=(1, 2))
-    if bad.any():
-        raise InvalidConfig(f"projection {bad.argmax()} contains non-finite values")
     gram = stack @ stack.transpose(0, 2, 1)
     bad = ~np.isclose(gram, np.eye(d), atol=_ORTHO_TOL).all(axis=(1, 2))
     if bad.any():
@@ -68,10 +66,9 @@ class GrfsqConfig:
     projections: np.ndarray | None = None  # (num_groups, d, group_dim)
 
     def __post_init__(self):
-        if self.num_groups < 1 or self.num_residuals < 1:
-            raise InvalidConfig("need at least one group and one residual stage")
-        if self.group_dim < 1:
-            raise InvalidConfig("group_dim must be positive")
+        for name in ("num_groups", "num_residuals", "group_dim"):
+            count = _checked_int(getattr(self, name), name, InvalidConfig, low=1)
+            object.__setattr__(self, name, count)
         d = self.level_spec.d
         ups = None
         if self.projections is None:
@@ -186,8 +183,7 @@ def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
     bit-equal to the reconstruction returned there.
     """
     arr = _checked_indices(indices, cfg)
-    levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
-    values = _grid_values(_unflatten(arr, cfg.level_spec), levels)  # (..., G, R, d)
+    values = _grid_values(_unflatten(arr, cfg.level_spec), cfg.level_spec.levels)  # (..., G, R, d)
     acc = np.zeros(arr.shape[:-1] + (cfg.group_dim,))
     for r in range(cfg.num_residuals):
         q = values[..., r, :]
@@ -197,16 +193,11 @@ def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
 
 
 def _frames_array(frames, dim: int | None = None) -> np.ndarray:
-    try:
-        arr = np.asarray(frames, dtype=np.float64)
-    except (ValueError, TypeError) as exc:
-        raise InvalidInput(f"frames are ragged or non-numeric: {exc}") from None
+    arr = _checked_reals(frames, "frame array", InvalidInput)
     if arr.ndim != 2:
         raise InvalidInput(f"frames must be a 2-D array, got shape {arr.shape}")
     if dim is not None and arr.shape[1] != dim:
         raise ConfigMismatch(f"frames have dimension {arr.shape[1]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("frames contain non-finite values")
     return arr
 
 
@@ -279,7 +270,8 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
 
 
 def _check_fps(fps: float) -> None:
-    if not (math.isfinite(fps) and fps > 0):
+    rate = _checked_reals(fps, "fps", InvalidConfig)
+    if rate.ndim or not rate > 0:
         raise InvalidConfig(f"fps must be finite and positive, got {fps}")
 
 
@@ -296,10 +288,8 @@ def bitrate(cfg: GrfsqConfig, fps: float) -> float:
 
 def float_stream_bitrate(dims: int, fps: float) -> float:
     """Bitrate of an uncompressed 32-bit float latent stream, for comparison rows."""
-    if dims < 1:
-        raise InvalidConfig("dims must be positive")
-    _check_fps(fps)
-    return dims * 32 * fps
+    # one 32-bit float carries as many bits as one token of a 2**32-entry codebook
+    return _token_bitrate(_checked_int(dims, "dims", InvalidConfig, low=1), 2**32, fps)
 
 
 def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> UtilizationReport:
