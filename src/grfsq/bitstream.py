@@ -53,8 +53,10 @@ _READ_CHUNK = 1 << 16  # largest single read request while decoding a header
 _PACK_CELLS = 1 << 12  # indices per numpy pass while packing or unpacking a payload
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StreamHeader:
+    """A stream's settings within the header's field limits; fps as stored, in single precision."""
+
     config: GrfsqConfig
     frame_count: int
     fps: float
@@ -76,16 +78,7 @@ class StreamHeader:
             raise InvalidConfig("level counts must fit in a byte")
         if cfg.group_dim > 65535 or cfg.total_dim > 65535:
             raise InvalidConfig("dimensions must fit in 16 bits")
-
-    def __eq__(self, other):
-        if not isinstance(other, StreamHeader):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self.frame_count == other.frame_count
-            and struct.pack("<f", self.fps) == struct.pack("<f", other.fps)
-            and self.packing_mode == other.packing_mode
-        )
+        object.__setattr__(self, "fps", float(stored))
 
 
 def _radix(cfg: GrfsqConfig, mode: int) -> tuple[int, bool]:

@@ -115,24 +115,24 @@ def _resolve_seed(value) -> int:
         raise InvalidConfig(f"GRFQ_SEED must be an integer, got {text!r}") from None
 
 
-def _packing_mode(name: str) -> int:
-    for mode, label in bitstream.PACKING_MODE_NAMES.items():
-        if label == name:
-            return mode
-    raise InvalidConfig(f"unknown packing mode {name!r}")
+_PACKING_MODES = {name: mode for mode, name in bitstream.PACKING_MODE_NAMES.items()}
 
 
-def _build_config(args, total_dim: int, allow_projection: bool = False) -> GrfsqConfig:
-    """Config from CLI flags. With allow_projection, a wider group dimension
-    gets identity-truncation placeholders for calibration to replace."""
+def _stream_header(
+    args, total_dim: int | None = None, frame_count: int = 0,
+    packing: int = bitstream.MODE_MIXED_RADIX, allow_projection: bool = False,
+) -> bitstream.StreamHeader:
+    """The stream header the CLI flags describe, every stream limit checked.
+    Without total_dim each group is one grid vector. With allow_projection, a
+    wider group dimension gets identity-truncation placeholders for
+    calibration to replace."""
     spec = _parse_levels(args.levels)
     groups = args.groups
     if groups < 1:
         raise InvalidConfig(f"--groups must be positive, got {groups}")
+    total_dim = groups * spec.d if total_dim is None else total_dim
     if total_dim % groups:
-        raise InvalidConfig(
-            f"frame dimension {total_dim} is not divisible into {groups} groups"
-        )
+        raise InvalidConfig(f"frame dimension {total_dim} is not divisible into {groups} groups")
     group_dim = total_dim // groups
     if group_dim == spec.d:
         projections = None
@@ -143,23 +143,21 @@ def _build_config(args, total_dim: int, allow_projection: bool = False) -> Grfsq
             f"group dimension {group_dim} does not match grid dimension {spec.d}; "
             "pass --calibrate to fit projections"
         )
-    return GrfsqConfig(
-        num_groups=groups,
-        num_residuals=args.residuals,
-        level_spec=spec,
-        group_dim=group_dim,
-        projections=projections,
+    cfg = GrfsqConfig(
+        num_groups=groups, num_residuals=args.residuals, level_spec=spec,
+        group_dim=group_dim, projections=projections,
     )
+    return bitstream.StreamHeader(cfg, frame_count, args.fps, packing_mode=packing)
 
 
 def cmd_encode(args) -> int:
     frames = _load_frames(args.input)
-    cfg = _build_config(args, frames.shape[1], allow_projection=bool(args.calibrate))
     # every stream limit is checked before calibrating or quantizing
-    header = bitstream.StreamHeader(
-        config=cfg, frame_count=frames.shape[0], fps=args.fps,
-        packing_mode=_packing_mode(args.packing),
+    header = _stream_header(
+        args, frames.shape[1], frames.shape[0], _PACKING_MODES[args.packing],
+        allow_projection=bool(args.calibrate),
     )
+    cfg = header.config
     if args.calibrate:
         cfg = calibrate_projections(_load_frames(args.calibrate), cfg)
         header = dataclasses.replace(header, config=cfg)
@@ -208,7 +206,7 @@ def cmd_decode(args) -> int:
             {
                 "frames": int(header.frame_count),
                 "total_dim": int(cfg.total_dim),
-                "fps": float(header.fps),
+                "fps": header.fps,
                 "output": args.output,
             }
         )
@@ -226,9 +224,7 @@ def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
     """One ablation row's config, checked against the training frames so a
     bad flag fails before any codebook is fit."""
     if scheme == "grfsq":
-        cfg = _build_config(args, train.shape[1])
-        bitstream.StreamHeader(config=cfg, frame_count=0, fps=args.fps)  # checks the stream limits
-        return cfg
+        return _stream_header(args, train.shape[1]).config
     groups, residuals, k = {
         "vq": (1, 1, args.vq_k),
         "gvq": (args.gvq_groups, 1, args.gvq_k),
@@ -314,17 +310,9 @@ def cmd_ablate(args) -> int:
 
 def cmd_schedule_sim(args) -> int:
     # every stream and shape limit is checked before any input is read or generated
-    spec = _parse_levels(args.levels)
-    num_classes = spec.codebook_size
-    cfg = GrfsqConfig(
-        num_groups=args.groups,
-        num_residuals=args.residuals,
-        level_spec=spec,
-        group_dim=spec.d,
-    )
-    header = bitstream.StreamHeader(
-        config=cfg, frame_count=0, fps=args.fps, packing_mode=bitstream.MODE_MIXED_RADIX
-    )
+    header = _stream_header(args)
+    cfg = header.config
+    num_classes = cfg.codebook_size
     speech = generation.load_speech_tokens(args.speech, vocab=args.vocab)
     controls = generation.load_controls(args.controls)
     if args.predictor == "uniform":
@@ -336,10 +324,9 @@ def cmd_schedule_sim(args) -> int:
             )
         with open(args.train_motion, "rb") as fh:
             train_header, train_tokens = bitstream.read_stream(fh)
-        if (
-            train_header.config.num_groups != args.groups
-            or train_header.config.num_residuals != args.residuals
-            or train_header.config.codebook_size != num_classes
+        train_cfg = train_header.config
+        if (train_cfg.num_groups, train_cfg.num_residuals, train_cfg.codebook_size) != (
+            cfg.num_groups, cfg.num_residuals, num_classes
         ):
             raise ConfigMismatch("training stream shape does not match the requested grid")
         train_speech = generation.load_speech_tokens(args.train_speech, vocab=args.vocab)
@@ -350,20 +337,20 @@ def cmd_schedule_sim(args) -> int:
         np.zeros(0),  # no global feature: no predictor here reads one
         speech,
         controls,
-        num_layers=args.residuals,
-        num_groups=args.groups,
+        num_layers=cfg.num_residuals,
+        num_groups=cfg.num_groups,
         with_nll=True,
     )
     header = dataclasses.replace(header, frame_count=len(speech))
     with open(args.out, "wb") as fh:
         bitstream.write_stream(header, tokens, fh)
-    uniform_layer_nll = args.groups * len(speech) * math.log(num_classes)
+    uniform_layer_nll = cfg.num_groups * len(speech) * math.log(num_classes)
     print(
         json.dumps(
             {
                 "frames": len(speech),
-                "groups": args.groups,
-                "residuals": args.residuals,
+                "groups": cfg.num_groups,
+                "residuals": cfg.num_residuals,
                 "classes": num_classes,
                 "predictor": args.predictor,
                 "per_layer_nll": [float(v) for v in nll_per_layer],

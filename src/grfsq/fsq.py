@@ -79,18 +79,23 @@ def _finite_vector(z, d: int, name: str = "input") -> np.ndarray:
     return arr
 
 
-def _checked_reals(values, what: str, error: type[Exception]) -> np.ndarray:
-    """The one rule for real-valued arrays: `values` as a float64 array (the
-    input itself when it already is one), or `error`. The dtype must be
-    integer or float, checked before any cast; bool, complex, string, object
-    and ragged input fail, and so does any non-finite value."""
+def _real_array(values, what: str, error: type[Exception]) -> np.ndarray:
+    """`values` as a float64 array (the input itself when it already is one),
+    or `error`. The dtype must be integer or float, checked before any cast;
+    bool, complex, string, object and ragged input fail."""
     try:
         arr = np.asarray(values)
     except ValueError:  # numpy refuses ragged nested sequences
         raise error(f"{what} is ragged") from None
     if arr.dtype.kind not in "iuf":
         raise error(f"{what} must hold real numbers, got dtype {arr.dtype}")
-    arr = arr.astype(np.float64, copy=False)
+    return arr.astype(np.float64, copy=False)
+
+
+def _checked_reals(values, what: str, error: type[Exception]) -> np.ndarray:
+    """The one rule for real-valued arrays: `_real_array`, and every value
+    finite."""
+    arr = _real_array(values, what, error)
     if not np.isfinite(arr).all():
         raise error(f"{what} contains non-finite values")
     return arr

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, PredictorContractViolation
-from .fsq import _checked_int, _checked_ints, _checked_reals
+from .fsq import _checked_int, _checked_ints, _checked_reals, _real_array
 
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
@@ -120,6 +120,8 @@ def assemble_context(
             f"controls cover {controls.num_frames} frames, speech covers {T}"
         )
     layer = _checked_int(layer, "layer", InvalidInput)
+    if num_groups is not None:
+        num_groups = _checked_int(num_groups, "num_groups", InvalidInput, low=1)
     fg = _checked_reals(global_feature, "global feature", InvalidInput).reshape(-1)
 
     if prev_tokens is not None:
@@ -205,7 +207,7 @@ def _rows_of(grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_prediction_grid(probs) -> np.ndarray:
-    arr = np.asarray(probs, dtype=np.float64)
+    arr = _real_array(probs, "prediction grid", InvalidInput)
     if arr.ndim != 3:
         raise InvalidInput(f"prediction grid must be (T, G, C), got shape {arr.shape}")
     # A bad value anywhere wins over a bad row sum; a row with no classes
@@ -276,7 +278,7 @@ def generate(
         )
         grid = predictor(context)
         if not isinstance(grid, RowGrid):
-            grid = np.asarray(grid)
+            grid = _real_array(grid, f"layer {layer}: prediction grid", PredictorContractViolation)
         if grid.ndim != 3 or grid.shape[0] != T or grid.shape[1] != num_groups:
             raise PredictorContractViolation(
                 f"layer {layer}: grid shape {grid.shape}, expected ({T}, {num_groups}, C)"

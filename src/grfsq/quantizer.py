@@ -240,8 +240,6 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     """
     arr = _frames_array(calibration, cfg.total_dim)
     d, dg = cfg.level_spec.d, cfg.group_dim
-    if dg < d:
-        raise InvalidConfig(f"group_dim ({dg}) smaller than grid dimension ({d})")
     if arr.shape[0] < d:
         raise InvalidInput(f"need at least {d} calibration frames, got {arr.shape[0]}")
     if dg == d:

@@ -19,7 +19,7 @@ from grfsq.bitstream import (
     read_stream,
     write_stream,
 )
-from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex
+from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
 from grfsq.fsq import LevelSpec
 from grfsq.quantizer import GrfsqConfig
 from reference_packer import reference_pack, reference_unpack
@@ -141,6 +141,12 @@ class TestFramePack:
         assert np.array_equal(frame_unpack(frame_pack(tensor, cfg, mode), cfg, mode), tensor)
 
 
+    @pytest.mark.parametrize("shape", [(4, 12), (47,), (1, 12, 4)])
+    def test_wrongly_shaped_block_fails(self, shape):
+        with pytest.raises(InvalidInput, match="expected 48 indices"):
+            frame_pack(np.zeros(shape, dtype=np.int64), DEFAULT)
+
+
 class TestFrameUnpack:
     def test_wrong_size(self):
         with pytest.raises(CorruptStream):
@@ -215,6 +221,18 @@ class TestStreamRoundTrip:
         buf2 = io.BytesIO()
         write_stream(header2, tensor2, buf2)
         assert buf1.getvalue() == buf2.getvalue()
+
+    def test_fps_is_held_as_the_stream_stores_it(self):
+        stored = float(np.float32(29.97))
+        header = StreamHeader(config=DEFAULT, frame_count=0, fps=29.97)
+        assert type(header.fps) is float and header.fps == stored
+        _, got_header, _ = roundtrip_stream(header, np.zeros((0, 12, 4), dtype=np.int64))
+        assert got_header.fps == header.fps and got_header == header
+
+    def test_group_dim_past_16_bits_fails(self):
+        cfg = GrfsqConfig(1, 1, LevelSpec((3,)), 70000, np.eye(1, 70000)[None])
+        with pytest.raises(InvalidConfig, match="16 bits"):
+            StreamHeader(config=cfg, frame_count=0, fps=25.0)
 
     def test_header_tensor_mismatch(self):
         header = StreamHeader(config=DEFAULT, frame_count=2, fps=25.0)

@@ -129,6 +129,37 @@ class TestEncode:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("bad.csv", "0.0,0.0\n0.0,abc\n", ":2: non-numeric CSV cell"),
+        ("bad.jsonl", "[0.0, 0.0]\n{\"x\": 0.0}\n", ":2: expected an array of numbers"),
+        ("blank.jsonl", "\n  \n\n", ": no frames found"),
+    ], ids=["csv-cell", "json-not-array", "only-blank-lines"])
+    def test_bad_frame_file_exits_2_naming_the_line(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out),
+                                   "--groups", "1", "--levels", "5,5")
+        assert code == 2
+        assert f"{path}{message}" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_fps_is_reported_as_given(self, tmp_path, capsys, frames48):
+        import math
+
+        path, _ = frames48
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(capsys, "encode", str(path), str(out), "--fps", "29.97")
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert '"fps": 29.97' in stdout and report["config"]["fps"] == 29.97
+        assert report["bitrate_bps"] == 12 * 4 * math.log2(625) * 29.97
+        assert report["payload_bps"] == report["bits_per_frame"] * 29.97
+        code, stdout, stderr = run(capsys, "decode", str(out), str(tmp_path / "y.jsonl"))
+        assert code == 0, stderr
+        assert json.loads(stdout)["fps"] == float(np.float32(29.97))  # as the stream holds it
+
     @pytest.mark.parametrize("flags, calibrate", [
         (("--fps", "0", "--groups", "75"), False),
         (("--fps", "0"), True),
@@ -506,6 +537,50 @@ class TestScheduleSim:
         assert stdout == ""
         assert not (tmp_path / "x.grfq").exists()
 
+    def test_groups_0_names_the_flag(self, tmp_path, capsys):
+        speech, controls = self.write_speech_and_controls(tmp_path, 5)
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--groups", "0",
+        )
+        assert code == 3
+        assert "--groups must be positive, got 0" in stderr
+        assert stdout == ""
+
+    def test_bigram_training_stream_of_another_grid_exits_3(self, tmp_path, capsys):
+        from grfsq.bitstream import StreamHeader, write_stream
+        from grfsq.fsq import LevelSpec
+        from grfsq.quantizer import GrfsqConfig
+
+        speech, controls = self.write_speech_and_controls(tmp_path, 5)
+        train_motion = tmp_path / "train.grfq"
+        header = StreamHeader(GrfsqConfig(2, 2, LevelSpec((3, 3)), 2), frame_count=5, fps=25.0)
+        with open(train_motion, "wb") as fh:
+            write_stream(header, np.zeros((5, 2, 2), dtype=np.int64), fh)
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(out), "--predictor", "bigram",
+            "--train-motion", str(train_motion), "--train-speech", str(speech),
+        )
+        assert code == 3
+        assert "does not match the requested grid" in stderr
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_controls_line_not_an_object_exits_2(self, tmp_path, capsys):
+        speech, controls = self.write_speech_and_controls(tmp_path, 3)
+        lines = controls.read_text().splitlines()
+        lines[1] = "[0.0, 0.0]"
+        controls.write_text("\n".join(lines) + "\n")
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"),
+        )
+        assert code == 2
+        assert f"{controls}:2: expected a JSON object" in stderr
+        assert stdout == ""
+
     def test_bigram_requires_training_flags(self, tmp_path, capsys):
         speech, controls = self.write_speech_and_controls(tmp_path, 5)
         code, _, stderr = run(
@@ -525,9 +600,13 @@ class TestScheduleSim:
     ("ablate", "{frames}", "--schemes", "rvq", "--rvq-k", "2",
      "--rvq-residuals", "1000000000000"),
     ("ablate", "{frames}", "--schemes", "grfsq", "--residuals", "1000000000000"),
+    ("encode", "{frames}", "{out}", "--levels", "5,x"),
+    ("ablate", "{frames}", "--schemes", "grfsq", "--holdout", "1.0"),
+    ("ablate", "{frames}", "--schemes", "grfsq", "--holdout", "0.001"),  # 0 of 40 frames held out
 ], ids=["encode-groups-0", "ablate-groups-0", "ablate-no-schemes-csv", "ablate-no-schemes-json",
         "ablate-kmeans-iters-negative", "ablate-rvq-residuals-huge",
-        "ablate-grfsq-residuals-huge"])
+        "ablate-grfsq-residuals-huge", "encode-levels-not-integers", "ablate-holdout-1",
+        "ablate-holdout-empty-eval"])
 def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 40)
     paths = {"frames": frames48[0], "out": tmp_path / "x.grfq",

@@ -21,7 +21,7 @@ from grfsq.baselines import (
     kmeans_fit,
 )
 from grfsq.bitstream import StreamHeader
-from grfsq.errors import InvalidConfig, InvalidIndex, InvalidInput
+from grfsq.errors import InvalidConfig, InvalidIndex, InvalidInput, PredictorContractViolation
 from grfsq.fsq import (
     LevelSpec,
     _checked_int,
@@ -37,9 +37,12 @@ from grfsq.generation import (
     EchoPredictor,
     SpeechTokenSeq,
     UniformPredictor,
+    argmax_sample,
     assemble_context,
     build_schedule,
     generate,
+    nll,
+    validate_prediction_grid,
 )
 from grfsq.quantizer import (
     GrfsqConfig,
@@ -175,6 +178,38 @@ class TestEveryRealSite:
             call(damage(good.copy()))
 
 
+GRID = np.eye(3)[np.arange(T * G).reshape(T, G) % 3]  # one-hot (T, G, 3) prediction grid
+
+# name: (call on the prediction grid, error class); a grid holds probabilities,
+# so a non-finite value fails its own "finite and non-negative" check
+GRID_SITES = {
+    "validate_prediction_grid": (validate_prediction_grid, InvalidInput),
+    "argmax_sample": (argmax_sample, InvalidInput),
+    "nll": (lambda a: nll(a, np.zeros((T, G), dtype=int)), InvalidInput),
+    "generate": (lambda a: run_generate(lambda context: a), PredictorContractViolation),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SITES))
+class TestEveryGridSite:
+    def test_integer_grids_act_as_floats(self, name):
+        call, _ = GRID_SITES[name]
+        assert np.array_equal(call(GRID.astype(np.uint8)), call(GRID))
+
+    @pytest.mark.parametrize("kind", sorted(BAD_REALS))
+    def test_bad_kind_fails(self, name, kind):
+        call, error = GRID_SITES[name]
+        damage, message = BAD_REALS[kind]
+        if kind == "nan":
+            message = "finite and non-negative"
+        if name == "generate":
+            message = "layer 0: .*" + message
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast of a complex grid would warn
+            with pytest.raises(error, match=message):
+                call(damage(GRID.copy()))
+
+
 BASELINE_ARGS = dict(
     scheme="grvq", codebook_size=2, groups=2, residuals=2, kmeans_iters=2, seed=2
 )
@@ -221,6 +256,12 @@ INT_SITES = {
             np.zeros(0), v, speech(), controls(), prev_tokens=np.zeros((T, G), dtype=int)
         ).layer_indicator,
         InvalidInput, 0,
+    ),
+    "assemble_context.num_groups": (
+        lambda v: assemble_context(
+            np.zeros(0), 0, speech(), controls(), num_groups=v
+        ).prev_layer_tokens.shape[1],
+        InvalidInput, 1,
     ),
     "UniformPredictor": (lambda v: UniformPredictor(v).num_classes, InvalidInput, 1),
     "EchoPredictor": (
@@ -311,6 +352,11 @@ class TestControlTrack:
         assert head_pose.flags.writeable and not track.head_pose.flags.writeable
         head_pose[0, 0] = 1.0
         assert track.head_pose[0, 0] == 0.0
+
+
+def test_a_negative_num_groups_fails():
+    with pytest.raises(InvalidInput, match="num_groups must be >= 1, got -1"):
+        assemble_context(np.zeros(0), 0, speech(), controls(), num_groups=-1)
 
 
 class TestPrevTokens:

@@ -75,6 +75,10 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             GrfsqConfig(12, 0, SPEC5x4, 4)
 
+    def test_codebook_past_int64_fails(self):
+        with pytest.raises(InvalidConfig, match="signed 64-bit"):
+            GrfsqConfig(1, 1, LevelSpec((2,) * 63), 63)
+
     def test_projection_shape_and_orthonormality(self):
         good = np.eye(2, 5)
         GrfsqConfig(1, 1, LevelSpec((5, 5)), 5, (good,))
