@@ -309,8 +309,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_sim(args) -> int:
-    # every stream and shape limit is checked before any input is read or generated
+    # every stream, shape and vocab limit is checked before any input is read or generated
     header = _stream_header(args)
+    if args.vocab < 1:
+        raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
     cfg = header.config
     num_classes = cfg.codebook_size
     speech = generation.load_speech_tokens(args.speech, vocab=args.vocab)

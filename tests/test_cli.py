@@ -537,6 +537,39 @@ class TestScheduleSim:
         assert stdout == ""
         assert not (tmp_path / "x.grfq").exists()
 
+    @pytest.mark.parametrize("vocab", ["0", "-3"])
+    def test_vocab_below_1_exits_3_before_reading_input(self, tmp_path, capsys, monkeypatch,
+                                                         vocab):
+        from grfsq import generation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("speech tokens were read before --vocab was checked")
+
+        monkeypatch.setattr(generation, "load_speech_tokens", fail)
+        speech, controls = self.write_speech_and_controls(tmp_path, 5)
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--vocab", vocab,
+        )
+        assert code == 3, stderr
+        assert f"--vocab must be positive, got {vocab}" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "x.grfq").exists()
+
+    def test_no_frames_score_positive_zero(self, tmp_path, capsys):
+        speech, controls = tmp_path / "speech.txt", tmp_path / "controls.jsonl"
+        speech.write_text("")
+        controls.write_text("")
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"),
+        )
+        assert code == 0, stderr
+        report = json.loads(stdout)
+        assert '"per_layer_nll": [0.0, 0.0, 0.0, 0.0]' in stdout
+        assert '"total_nll": 0.0' in stdout
+        assert report["frames"] == 0
+
     def test_groups_0_names_the_flag(self, tmp_path, capsys):
         speech, controls = self.write_speech_and_controls(tmp_path, 5)
         code, stdout, stderr = run(

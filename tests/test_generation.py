@@ -16,6 +16,7 @@ from grfsq.generation import (
     RowGrid,
     SpeechTokenSeq,
     UniformPredictor,
+    _smoothed_rows,
     argmax_sample,
     assemble_context,
     build_schedule,
@@ -125,6 +126,10 @@ class TestNll:
         expected = -(math.log(0.5) + math.log(0.25))
         assert abs(nll(probs, targets) - expected) < 1e-12
         assert abs(expected - 2.0794415416798357) < 1e-12
+
+    def test_no_cells_score_positive_zero(self):
+        value = nll(np.zeros((0, 2, 3)), np.zeros((0, 2), dtype=np.int64))
+        assert math.copysign(1.0, value) == 1.0
 
     def test_floor_keeps_nll_finite(self):
         probs = np.zeros((1, 1, 2))
@@ -413,6 +418,18 @@ class TestGenerationMemory:
         ))
         assert peak < T_GEN * G * 625 * 8 // 2  # half of one dense grid
 
+    def test_bigram_fit_holds_counts_not_class_tables(self):
+        # 400 cells per layer and channel over 1024 classes: dense (K + 1, C)
+        # tables would take megabytes, the sparse counts take kilobytes
+        T, G, R, C = 200, 2, 2, 1024
+        train = np.random.default_rng(58).integers(0, C, size=(T, G, R))
+        speech, controls = make_inputs(T, vocab=8)
+        peak = self.peak_bytes(lambda: generate(
+            BigramPredictor.fit(train, speech, C), np.zeros(0), speech, controls,
+            num_layers=R, num_groups=G, with_nll=True,
+        ))
+        assert peak < 2 << 20
+
 
 def full_array_verdict(grid):
     """The validation verdict computed over the whole array at once."""
@@ -510,15 +527,16 @@ class TestBigramMatchesReference:
     @staticmethod
     def assert_tables_match(model, ref):
         for r in range(ref.num_layers):
-            for (keys, table), counts in (
+            for table, counts in (
                 (model._prev_tables[r], ref.prev_counts[r]),
                 (model._speech_tables[r], ref.speech_counts[r]),
             ):
-                assert keys.tolist() == sorted(counts)
-                assert table.shape == (len(counts) + 1, ref.num_classes)
-                for row, symbol in zip(table, keys.tolist()):
+                keys = table[0].tolist()
+                assert keys == sorted(counts)
+                # every seen key's row, then the unseen fallback row
+                rows = _smoothed_rows(table, np.arange(len(keys) + 1), ref.num_classes)
+                for row, symbol in zip(rows, keys + [-1], strict=True):
                     assert np.array_equal(row, ref.channel(counts, symbol))
-                assert np.array_equal(table[-1], ref.channel(counts, -1))  # unseen fallback
 
     @staticmethod
     def assert_predictions_match(model, ref, speech, prev_layers):
@@ -664,6 +682,13 @@ class TestFileLoaders:
         path.write_text("abc\n")
         with pytest.raises(InvalidInput):
             load_speech_tokens(path, vocab=4)
+
+    @pytest.mark.parametrize("vocab", [0, -3])
+    def test_speech_vocab_checked_before_tokens(self, tmp_path, vocab):
+        path = tmp_path / "tokens.txt"
+        path.write_text("72\n")
+        with pytest.raises(InvalidInput, match=f"vocab must be >= 1, got {vocab}"):
+            load_speech_tokens(path, vocab=vocab)
 
     def test_controls_round_trip(self, tmp_path):
         path = tmp_path / "controls.jsonl"

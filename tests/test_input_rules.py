@@ -35,6 +35,7 @@ from grfsq.generation import (
     BigramPredictor,
     ControlTrack,
     EchoPredictor,
+    RowGrid,
     SpeechTokenSeq,
     UniformPredictor,
     argmax_sample,
@@ -208,6 +209,34 @@ class TestEveryGridSite:
             warnings.simplefilter("error")  # a cast of a complex grid would warn
             with pytest.raises(error, match=message):
                 call(damage(GRID.copy()))
+
+
+class TestRowGridRows:
+    """A row grid's rows follow the real-array rule when it is built; their
+    values are checked as probabilities later, by `generate`."""
+
+    ROWS = np.full((2, 3), 1 / 3)
+    WHICH = np.zeros((T, G), dtype=int)
+
+    def test_integer_rows_act_as_floats(self):
+        grid = RowGrid(np.eye(3, dtype=np.uint8), self.WHICH)
+        assert grid.rows.dtype == np.float64
+        assert np.array_equal(grid, RowGrid(np.eye(3), self.WHICH))
+
+    @pytest.mark.parametrize("kind", sorted(set(BAD_REALS) - {"nan"}))
+    def test_bad_kind_fails(self, kind):
+        damage, message = BAD_REALS[kind]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a cast of complex rows would warn
+            with pytest.raises(InvalidInput, match="row grid rows .*" + message):
+                RowGrid(damage(self.ROWS.copy()), self.WHICH)
+
+    def test_a_predictor_building_ragged_rows_gets_the_typed_error(self):
+        def predictor(context):
+            return RowGrid([[0.5, 0.5], [1.0]], np.zeros((T, G), dtype=int))
+
+        with pytest.raises(InvalidInput, match="row grid rows is ragged"):
+            run_generate(predictor)
 
 
 BASELINE_ARGS = dict(
