@@ -30,7 +30,7 @@ from .errors import (
     PredictorContractViolation,
     TooLarge,
 )
-from .fsq import LevelSpec
+from .fsq import ENUMERATION_CAP, LevelSpec
 from .quantizer import (
     DEFAULT_FPS,
     DEFAULT_GROUPS,
@@ -38,6 +38,7 @@ from .quantizer import (
     DEFAULT_RESIDUALS,
     GrfsqConfig,
     _check_fps,
+    _frame_rmse,
     bitrate,
     calibrate_projections,
     grfsq_dequantize,
@@ -214,12 +215,6 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _mean_frame_rmse(original: np.ndarray, recon: np.ndarray) -> float:
-    if original.shape[0] == 0:
-        return 0.0
-    return float(np.sqrt(((original - recon) ** 2).mean(axis=1)).mean())
-
-
 def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
     """One ablation row's config, checked against the training frames so a
     bad flag fails before any codebook is fit."""
@@ -292,7 +287,7 @@ def cmd_ablate(args) -> int:
                 "residuals": residuals,
                 "codebook_size": cfg.codebook_size,
                 "bitrate_bps": bps,
-                "rmse": _mean_frame_rmse(evaluate, recon),
+                "rmse": _frame_rmse(evaluate, recon)[1],
                 "utilization_mean_percent": util.mean_percent,
             }
         )
@@ -315,6 +310,8 @@ def cmd_schedule_sim(args) -> int:
         raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
     cfg = header.config
     num_classes = cfg.codebook_size
+    if num_classes > ENUMERATION_CAP:  # each predictor builds rows of one probability per class
+        raise TooLarge(f"{num_classes} classes exceed the cap of {ENUMERATION_CAP}")
     speech = generation.load_speech_tokens(args.speech, vocab=args.vocab)
     controls = generation.load_controls(args.controls)
     if args.predictor == "uniform":

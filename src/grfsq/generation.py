@@ -347,24 +347,18 @@ class BigramPredictor:
 
     Per layer, two count channels are combined multiplicatively and
     renormalized: target given the same-position previous-layer token, and
-    target given the frame's speech token. Each channel keeps only the
-    nonzero counts of the symbols seen in training, O(T·G) per layer, and
-    prediction smooths and normalizes just the rows its distinct (previous,
-    speech) pairs use; an unseen symbol's row is count-free, exactly
-    uniform. It returns a RowGrid of the pair rows, bit-identical to
-    normalizing every cell's row on its own, with no loop over frames or
-    groups. On the 2000-frame `generate-bigram` benchmark the counts take
-    1.4 MB where dense (K + 1, C) tables took 13.9 MiB, and the command's
-    peak RSS fell from 56.8 to 40.9 MB.
+    target given the frame's speech token. `fit` keeps the training cells
+    and counts nothing; prediction counts only the symbols its context
+    holds and builds each distinct (previous, speech) pair's row once. An
+    unseen symbol has no cells, so its row is exactly uniform. The RowGrid
+    it returns is bit-identical to normalizing every cell's row on its own.
     """
 
     def __init__(self, num_classes: int, num_layers: int):
         self.num_classes = _checked_int(num_classes, "num_classes", InvalidInput, low=1)
         self.num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
-        no_symbols = np.zeros(0, dtype=np.int64)
-        empty = _channel_table(no_symbols, no_symbols, self.num_classes)
-        self._prev_tables = [empty] * self.num_layers
-        self._speech_tables = [empty] * self.num_layers
+        self._targets = np.zeros((0, 1, self.num_layers), dtype=np.int64)
+        self._speech = np.zeros(0, dtype=np.int64)
 
     @classmethod
     def fit(cls, targets, speech: SpeechTokenSeq, num_classes: int) -> "BigramPredictor":
@@ -375,13 +369,8 @@ class BigramPredictor:
         if len(speech) != T:
             raise InvalidInput(f"speech covers {len(speech)} frames, targets cover {T}")
         model = cls(num_classes, R)
-        num_classes = model.num_classes
-        arr = _checked_ints(arr, num_classes, "targets", InvalidInput)
-        speech_per_cell = np.broadcast_to(speech.tokens[:, None], (T, G))
-        for r in range(R):
-            prev = np.zeros((T, G), dtype=np.int64) if r == 0 else arr[:, :, r - 1]
-            model._prev_tables[r] = _channel_table(prev, arr[:, :, r], num_classes)
-            model._speech_tables[r] = _channel_table(speech_per_cell, arr[:, :, r], num_classes)
+        model._targets = _checked_ints(arr, model.num_classes, "targets", InvalidInput)
+        model._speech = speech.tokens
         return model
 
     def __call__(self, context: GenerationContext) -> RowGrid:
@@ -390,52 +379,35 @@ class BigramPredictor:
             raise PredictorContractViolation(
                 f"layer {layer} beyond the {self.num_layers} trained layers"
             )
-        speech_tokens = context.framewise[:, 0].astype(np.int64)
-        prev, speech = self._prev_tables[layer], self._speech_tables[layer]
-        prev_rows = _table_rows(prev[0], context.prev_layer_tokens)
-        speech_rows = _table_rows(speech[0], speech_tokens)[:, None]
-        # A cell's row depends only on its (prev row, speech row) pair, so
-        # each distinct pair's row is built and normalized once.
-        n_speech = speech[0].size + 1
-        pairs, which = np.unique(prev_rows * n_speech + speech_rows, return_inverse=True)
-        joint = _smoothed_rows(prev, pairs // n_speech, self.num_classes)
-        joint *= _smoothed_rows(speech, pairs % n_speech, self.num_classes)
+        targets = self._targets[:, :, layer]
+        trained_prev = self._targets[:, :, layer - 1] if layer else np.zeros_like(targets)
+        trained_speech = np.broadcast_to(self._speech[:, None], targets.shape)
+        prev = context.prev_layer_tokens
+        speech = context.framewise[:, 0].astype(np.int64)
+        prev_keys, prev_at = np.unique(prev, return_inverse=True)
+        speech_keys, speech_at = np.unique(speech, return_inverse=True)
+        # A cell's row depends only on its (previous, speech) symbol pair, so
+        # each distinct pair's row is built and normalized once. Pairs are
+        # keyed by the symbols' ranks, as raw tokens are unbounded ints.
+        n_speech = speech_keys.size
+        keyed = prev_at.reshape(prev.shape) * n_speech + speech_at[:, None]
+        pairs, which = np.unique(keyed, return_inverse=True)
+        C = self.num_classes
+        joint = _smoothed_rows(prev_keys, trained_prev, targets, C)[pairs // n_speech]
+        joint *= _smoothed_rows(speech_keys, trained_speech, targets, C)[pairs % n_speech]
         joint /= joint.sum(axis=1, keepdims=True)
-        return RowGrid(joint, which.reshape(prev_rows.shape))
+        return RowGrid(joint, which.reshape(prev.shape))
 
 
-def _channel_table(symbols, targets, num_classes: int) -> tuple[np.ndarray, ...]:
-    """Sorted symbols seen (K keys), the sorted cells ``row * C + target``
-    that have a count, their counts, and row k's cells' span ``starts[k]:
-    starts[k + 1]``; row K, the one unseen symbols get, has no cells."""
-    keys, rows = np.unique(np.ravel(symbols), return_inverse=True)
-    cells, counts = np.unique(rows * num_classes + np.ravel(targets), return_counts=True)
-    starts = np.searchsorted(cells, np.arange(keys.size + 2) * num_classes)
-    return keys, cells, counts, starts
-
-
-def _smoothed_rows(table, rows: np.ndarray, num_classes: int) -> np.ndarray:
-    """Rows `rows` of a channel table, add-one-smoothed and normalized as a
-    dense table would be; each distinct row is built once."""
-    _, cells, counts, starts = table
-    rows, repeat = np.unique(rows, return_inverse=True)
-    n = starts[rows + 1] - starts[rows]
-    # where each distinct row's cells sit in `cells`, row after row
-    at = np.arange(n.sum()) + np.repeat(starts[rows] - np.cumsum(n) + n, n)
-    smoothed = np.zeros((rows.size, num_classes))
-    smoothed[np.repeat(np.arange(rows.size), n), cells[at] % num_classes] = counts[at]
-    smoothed += 1.0
-    smoothed /= smoothed.sum(axis=1, keepdims=True)
-    return smoothed[repeat]
-
-
-def _table_rows(keys: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """Row of each symbol in a channel table; unseen symbols get the last row."""
-    if keys.size == 0:
-        return np.zeros(np.shape(symbols), dtype=np.intp)
-    pos = np.searchsorted(keys, symbols)
-    seen = keys[np.minimum(pos, keys.size - 1)] == symbols
-    return np.where(seen, pos, keys.size)
+def _smoothed_rows(keys: np.ndarray, symbols, targets, num_classes: int) -> np.ndarray:
+    """One add-one-smoothed, normalized row per sorted symbol in `keys`,
+    counted over the training cells (symbols, targets) of those symbols. A
+    symbol with no cells gets the uniform row."""
+    used = np.isin(symbols, keys)
+    cells = np.searchsorted(keys, symbols[used]) * num_classes + targets[used]
+    rows = np.bincount(cells, minlength=keys.size * num_classes) + 1.0
+    rows = rows.reshape(keys.size, num_classes)
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def load_speech_tokens(path, vocab: int = DEFAULT_SPEECH_VOCAB) -> SpeechTokenSeq:

@@ -221,13 +221,19 @@ def quantize_sequence(
         recon[s : s + _CHUNK] = partials[-1]
         sq_err_by_stage += ((chunk - partials) ** 2).sum(axis=(1, 2))
 
-    per_frame = np.sqrt(((arr - recon) ** 2).mean(axis=1))
+    per_frame, mean = _frame_rmse(arr, recon)
     report = ReconstructionReport(
         per_frame_rmse=per_frame,
         cumulative_rmse_by_residual=np.sqrt(sq_err_by_stage / max(T * D, 1)),
-        mean_rmse=float(per_frame.mean()) if T else 0.0,
+        mean_rmse=mean,
     )
     return indices, recon, report
+
+
+def _frame_rmse(frames: np.ndarray, recon: np.ndarray) -> tuple[np.ndarray, float]:
+    """Per-frame RMSE of (T, D) reconstructions, and its mean (0.0 for no frames)."""
+    per_frame = np.sqrt(((frames - recon) ** 2).mean(axis=1))
+    return per_frame, float(per_frame.mean()) if frames.shape[0] else 0.0
 
 
 def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:

@@ -1,6 +1,7 @@
 """Per-(t, g) reference for the bigram predictor: one dict of count rows per
 layer and channel, smoothed and normalized on every lookup. It is the
-definition the table-gather `BigramPredictor` must match bit for bit."""
+definition `BigramPredictor`, which counts only the symbols a context asks
+about, must match bit for bit."""
 
 from __future__ import annotations
 

@@ -537,6 +537,26 @@ class TestScheduleSim:
         assert stdout == ""
         assert not (tmp_path / "x.grfq").exists()
 
+    def test_class_count_past_the_cap_exits_3_before_reading_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from grfsq import generation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("speech tokens were read before the class count was checked")
+
+        monkeypatch.setattr(generation, "load_speech_tokens", fail)
+        speech, controls = self.write_speech_and_controls(tmp_path, 5)
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--levels", "255,255,255,255,255",
+            "--groups", "1", "--residuals", "1",
+        )
+        assert code == 3, stderr
+        assert "1078203909375 classes exceed the cap of 1000000" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "x.grfq").exists()
+
     @pytest.mark.parametrize("vocab", ["0", "-3"])
     def test_vocab_below_1_exits_3_before_reading_input(self, tmp_path, capsys, monkeypatch,
                                                          vocab):

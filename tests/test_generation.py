@@ -522,20 +522,24 @@ class TestBlockedValidation:
 
 
 class TestBigramMatchesReference:
-    """The table-gather predictor equals the per-(t, g) dict reference bit for bit."""
+    """The predictor, counting on demand, equals the per-(t, g) dict reference bit for bit."""
 
     @staticmethod
     def assert_tables_match(model, ref):
         for r in range(ref.num_layers):
-            for table, counts in (
-                (model._prev_tables[r], ref.prev_counts[r]),
-                (model._speech_tables[r], ref.speech_counts[r]),
+            targets = model._targets[:, :, r]
+            trained_prev = model._targets[:, :, r - 1] if r else np.zeros_like(targets)
+            trained_speech = np.broadcast_to(model._speech[:, None], targets.shape)
+            for symbols, counts in (
+                (trained_prev, ref.prev_counts[r]),
+                (trained_speech, ref.speech_counts[r]),
             ):
-                keys = table[0].tolist()
+                keys = np.unique(symbols).tolist()
                 assert keys == sorted(counts)
-                # every seen key's row, then the unseen fallback row
-                rows = _smoothed_rows(table, np.arange(len(keys) + 1), ref.num_classes)
-                for row, symbol in zip(rows, keys + [-1], strict=True):
+                # every seen symbol's row, then one unseen symbol's row
+                asked = keys + [max(keys, default=-1) + 1]
+                rows = _smoothed_rows(np.array(asked), symbols, targets, ref.num_classes)
+                for row, symbol in zip(rows, asked, strict=True):
                     assert np.array_equal(row, ref.channel(counts, symbol))
 
     @staticmethod
@@ -598,6 +602,31 @@ class TestBigramMatchesReference:
         model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=speech, vocab=vocab), C)
         ref = ReferenceBigram.fit(train, speech, C)
         self.assert_predictions_match(model, ref, empty, prev_layers)
+
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_models_and_contexts(self, data):
+        T_fit, T, G, R = (
+            data.draw(st.integers(lo, hi)) for lo, hi in ((0, 300), (0, 300), (1, 5), (1, 3))
+        )
+        C = data.draw(st.sampled_from([1, 2, 7, 625]))
+        vocab = data.draw(st.sampled_from([1, 3, 300]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            train = rng.integers(0, C, size=(T_fit, G, R))
+            train_speech = rng.integers(0, vocab, T_fit)
+            model = BigramPredictor.fit(train, SpeechTokenSeq(tokens=train_speech, vocab=vocab), C)
+            ref = ReferenceBigram.fit(train, train_speech, C)
+        else:
+            model, ref = BigramPredictor(C, R), ReferenceBigram(C, R)
+        self.assert_tables_match(model, ref)
+        speech = SpeechTokenSeq(tokens=rng.integers(0, vocab, T), vocab=vocab)
+        # previous tokens within the classes, or anywhere in int64
+        high = data.draw(st.sampled_from([C, np.iinfo(np.int64).max]))
+        prev_layers = [np.zeros((T, G), dtype=np.int64)]
+        prev_layers += [rng.integers(0, high, size=(T, G)) for _ in range(1, R)]
+        self.assert_predictions_match(model, ref, speech, prev_layers)
 
 
 class TestBigramPredictor:
