@@ -60,32 +60,23 @@ def _load_frames(path: str) -> np.ndarray:
     values = array("d")  # 8 bytes per value, not a list of float objects
     frames, width = 0, 0
     is_csv = str(path).lower().endswith(".csv")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if is_csv:
-                try:
-                    row = [float(cell) for cell in text.split(",")]
-                except ValueError:
-                    raise InvalidInput(f"{path}:{lineno}: non-numeric CSV cell") from None
-            else:
-                try:
-                    row = json.loads(text)
-                except ValueError as exc:  # also an integer past Python's digit limit
-                    raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
-                if not isinstance(row, list):
-                    raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
-            row = generation._finite_floats(row)
-            if row is None:
-                raise InvalidInput(f"{path}:{lineno}: expected finite numbers")
-            if frames and len(row) != width:
-                raise InvalidInput(
-                    f"{path}:{lineno}: ragged frame, {len(row)} values vs {width}"
-                )
-            frames, width = frames + 1, len(row)
-            values.extend(row)
+    for lineno, text in generation._lines(path):
+        if is_csv:
+            try:
+                row = [float(cell) for cell in text.split(",")]
+            except ValueError:
+                raise InvalidInput(f"{path}:{lineno}: non-numeric CSV cell") from None
+        else:
+            row = generation._json_line(path, lineno, text)
+            if not isinstance(row, list):
+                raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
+        row = generation._finite_floats(row)
+        if row is None:
+            raise InvalidInput(f"{path}:{lineno}: expected finite numbers")
+        if frames and len(row) != width:
+            raise InvalidInput(f"{path}:{lineno}: ragged frame, {len(row)} values vs {width}")
+        frames, width = frames + 1, len(row)
+        values.extend(row)
     if not frames:
         raise InvalidInput(f"{path}: no frames found")
     return np.frombuffer(values, dtype=np.float64).reshape(frames, width)
@@ -308,6 +299,8 @@ def cmd_schedule_sim(args) -> int:
     header = _stream_header(args)
     if args.vocab < 1:
         raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
+    if args.vocab > generation.MAX_SPEECH_VOCAB:  # tokens must stay exact in the float context
+        raise InvalidConfig(f"--vocab must be at most 2**53, got {args.vocab}")
     cfg = header.config
     num_classes = cfg.codebook_size
     if num_classes > ENUMERATION_CAP:  # each predictor builds rows of one probability per class

@@ -216,10 +216,10 @@ def ste_gradient(z, spec: LevelSpec, upstream) -> np.ndarray:
     return up * (1.0 - np.tanh(zv) ** 2)
 
 
-def enumerate_codebook(spec: LevelSpec, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def enumerate_codebook(spec: LevelSpec) -> np.ndarray:
     """Materialize every codeword, ordered by flat index. Desk-scale only."""
     size = spec.codebook_size
-    if size > cap:
-        raise TooLarge(f"codebook size {size} exceeds enumeration cap {cap}")
+    if size > ENUMERATION_CAP:
+        raise TooLarge(f"codebook size {size} exceeds enumeration cap {ENUMERATION_CAP}")
     codes = _unflatten(np.arange(size, dtype=np.uint64), spec)
     return _grid_values(codes, spec.levels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,14 @@ from .fsq import _checked_int, _checked_ints, _checked_reals, _real_array
 
 PROB_FLOOR = 1e-12
 DEFAULT_SPEECH_VOCAB = 4096
+MAX_SPEECH_VOCAB = 2**53  # the float64 `framewise` context holds every token exactly
+
+
+def _checked_vocab(vocab) -> int:
+    vocab = _checked_int(vocab, "vocab", InvalidInput, low=1)
+    if vocab > MAX_SPEECH_VOCAB:
+        raise InvalidInput(f"vocab must be at most 2**53, got {vocab}")
+    return vocab
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,7 +42,7 @@ class SpeechTokenSeq:
         arr = np.asarray(self.tokens)
         if arr.ndim != 1:
             raise InvalidInput(f"tokens must be 1-D, got shape {arr.shape}")
-        object.__setattr__(self, "vocab", _checked_int(self.vocab, "vocab", InvalidInput, low=1))
+        object.__setattr__(self, "vocab", _checked_vocab(self.vocab))
         arr = _checked_ints(arr, self.vocab, "tokens", InvalidInput)
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
@@ -207,29 +216,32 @@ def _rows_of(grid) -> tuple[np.ndarray, np.ndarray]:
     return grid.reshape(T * G, C), np.arange(T * G).reshape(T, G)
 
 
-def validate_prediction_grid(probs) -> np.ndarray:
-    arr = _real_array(probs, "prediction grid", InvalidInput)
-    if arr.ndim != 3:
-        raise InvalidInput(f"prediction grid must be (T, G, C), got shape {arr.shape}")
+def validate_prediction_grid(probs) -> RowGrid | np.ndarray:
+    """The grid once every row is a probability row: a RowGrid as it is, its
+    rows checked whether a cell uses them or not and no dense grid built,
+    or a dense grid as a float64 array."""
+    if isinstance(probs, RowGrid):
+        values = probs.rows
+    else:
+        probs = values = _real_array(probs, "prediction grid", InvalidInput)
+        if probs.ndim != 3:
+            raise InvalidInput(f"prediction grid must be (T, G, C), got shape {probs.shape}")
     # A bad value anywhere wins over a bad row sum; a row with no classes
     # sums to 0, so it fails the row-sum check.
-    if arr.size and not (arr.min() >= 0.0 and math.isfinite(arr.max())):  # NaN fails both
+    if values.size and not (values.min() >= 0.0 and math.isfinite(values.max())):  # NaN fails both
         raise InvalidInput("probabilities must be finite and non-negative")
-    if np.any(np.abs(arr.sum(axis=2) - 1.0) > 1e-9):
+    if np.any(np.abs(values.sum(axis=-1) - 1.0) > 1e-9):
         raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
-    return arr
+    return probs
 
 
 def nll(predictions, targets) -> float:
     """Negative log-likelihood of targets (nats), probabilities floored at 1e-12."""
-    probs = validate_prediction_grid(predictions)
+    rows, which = _rows_of(validate_prediction_grid(predictions))
     tgt = np.asarray(targets)
-    if tgt.shape != probs.shape[:2]:
-        raise InvalidInput(
-            f"targets shape {tgt.shape} does not match grid {probs.shape[:2]}"
-        )
-    tgt = _checked_ints(tgt, probs.shape[2], "targets", InvalidInput)
-    return _picked_nll(*_rows_of(probs), tgt)
+    if tgt.shape != which.shape:
+        raise InvalidInput(f"targets shape {tgt.shape} does not match grid {which.shape}")
+    return _picked_nll(rows, which, _checked_ints(tgt, rows.shape[1], "targets", InvalidInput))
 
 
 def _picked_nll(rows: np.ndarray, which: np.ndarray, tgt: np.ndarray) -> float:
@@ -243,8 +255,12 @@ def _picked_nll(rows: np.ndarray, which: np.ndarray, tgt: np.ndarray) -> float:
 
 def argmax_sample(predictions) -> np.ndarray:
     """Most probable class per (frame, group); ties resolve to the lowest class."""
-    probs = validate_prediction_grid(predictions)
-    return probs.argmax(axis=2).astype(np.int64)
+    return _argmax(*_rows_of(validate_prediction_grid(predictions)))
+
+
+def _argmax(rows: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Each cell's most probable class, from its row's argmax."""
+    return rows.argmax(axis=1)[which].astype(np.int64)
 
 
 def generate(
@@ -259,12 +275,11 @@ def generate(
     """Run the layered generation loop.
 
     The predictor is invoked exactly once per layer with a context holding
-    only the previous layer's tokens. Its grid is held as its distinct
-    probability rows (a RowGrid as returned, a dense array as one row per
-    cell); the rows are validated once, and each row is argmaxed and scored
-    once. Each cell takes its row's token into that layer's slice of the
-    output tensor (T, groups, layers). No (T, G, C) array is built for a
-    predictor that returns a RowGrid.
+    only the previous layer's tokens. Its grid is validated once, and each
+    of its rows (a dense grid has one per cell) is argmaxed and scored once,
+    so no (T, G, C) array is built for a predictor that returns a RowGrid.
+    Each cell's token goes into that layer's slice of the output (T, groups,
+    layers).
     """
     num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
     num_groups = _checked_int(num_groups, "num_groups", InvalidInput, low=1)
@@ -291,12 +306,11 @@ def generate(
             raise PredictorContractViolation(
                 f"layer {layer}: class count changed from {num_classes} to {grid.shape[2]}"
             )
-        rows, which = _rows_of(grid)
         try:
-            rows = validate_prediction_grid(rows[:, None, :])[:, 0]
+            rows, which = _rows_of(validate_prediction_grid(grid))
         except InvalidInput as exc:
             raise PredictorContractViolation(f"layer {layer}: {exc}") from None
-        tokens = rows.argmax(axis=1)[which].astype(np.int64)
+        tokens = _argmax(rows, which)
         if with_nll:
             nll_per_layer[layer] = _picked_nll(rows, which, tokens)
         del grid, rows  # free this layer's rows before the next predictor call
@@ -412,33 +426,45 @@ def _smoothed_rows(keys: np.ndarray, symbols, targets, num_classes: int) -> np.n
 
 def load_speech_tokens(path, vocab: int = DEFAULT_SPEECH_VOCAB) -> SpeechTokenSeq:
     """Read newline-delimited integer tokens, validated against the vocab."""
-    vocab = _checked_int(vocab, "vocab", InvalidInput, low=1)
+    vocab = _checked_vocab(vocab)
     tokens = []
+    for lineno, text in _lines(path):
+        try:
+            value = int(text)
+        except ValueError:
+            raise InvalidInput(f"{path}:{lineno}: not an integer token: {text!r}") from None
+        if value < 0 or value >= vocab:
+            raise InvalidInput(f"{path}:{lineno}: token {value} outside vocab [0, {vocab})")
+        tokens.append(value)
+    return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab)
+
+
+def _lines(path):
+    """(lineno, text) of each non-blank line of a UTF-8 file, stripped and
+    numbered from 1; callers format `path:lineno` only when they raise."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise InvalidInput(f"{path}:{lineno}: not an integer token: {text!r}") from None
-            if value < 0 or value >= vocab:
-                raise InvalidInput(
-                    f"{path}:{lineno}: token {value} outside vocab [0, {vocab})"
-                )
-            tokens.append(value)
-    return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab)
+            if text:
+                yield lineno, text
+
+
+def _json_line(path, lineno: int, text: str):
+    """One line's JSON value, or `InvalidInput` naming `path:lineno`."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past Python's digit limit
+        raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
 
 
 _JSON_NUMBERS = frozenset((int, float))
 
 
 def _finite_floats(values) -> list[float] | None:
-    """JSON numbers as floats, or None unless every value is a finite int or
-    float. A bool is no number here, though Python makes it an int; an
-    integer too large for a float (JSON allows one) counts as not finite."""
-    if not set(map(type, values)) <= _JSON_NUMBERS:
+    """A JSON list's numbers as floats, or None unless it is a list of finite
+    ints and floats. A bool is no number here, though Python makes it an int;
+    an integer too large for a float (JSON allows one) counts as not finite."""
+    if not isinstance(values, list) or not set(map(type, values)) <= _JSON_NUMBERS:
         return None
     try:
         floats = [float(v) for v in values]
@@ -449,32 +475,17 @@ def _finite_floats(values) -> list[float] | None:
 
 def load_controls(path) -> ControlTrack:
     """Read JSON-lines control records with fields h (3), g (2), b (2)."""
-    h, g, b = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except ValueError as exc:  # also an integer past Python's digit limit
-                raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise InvalidInput(f"{path}:{lineno}: expected a JSON object")
-            for key, dest, width in (("h", h, 3), ("g", g, 2), ("b", b, 2)):
-                value = record.get(key)
-                floats = (
-                    _finite_floats(value)
-                    if isinstance(value, list) and len(value) == width
-                    else None
+    values = array("d")  # 8 bytes per value, not a list of float objects
+    for lineno, text in _lines(path):
+        record = _json_line(path, lineno, text)
+        if not isinstance(record, dict):
+            raise InvalidInput(f"{path}:{lineno}: expected a JSON object")
+        for key, width in (("h", 3), ("g", 2), ("b", 2)):
+            floats = _finite_floats(record.get(key))
+            if floats is None or len(floats) != width:
+                raise InvalidInput(
+                    f"{path}:{lineno}: field {key!r} must be {width} finite numbers"
                 )
-                if floats is None:
-                    raise InvalidInput(
-                        f"{path}:{lineno}: field {key!r} must be {width} finite numbers"
-                    )
-                dest.append(floats)
-    return ControlTrack(
-        head_pose=np.asarray(h, dtype=np.float64).reshape(len(h), 3),
-        gaze=np.asarray(g, dtype=np.float64).reshape(len(g), 2),
-        blink=np.asarray(b, dtype=np.float64).reshape(len(b), 2),
-    )
+            values.extend(floats)
+    track = np.frombuffer(values, dtype=np.float64).reshape(-1, 7)
+    return ControlTrack(head_pose=track[:, :3], gaze=track[:, 3:5], blink=track[:, 5:])

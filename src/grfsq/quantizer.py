@@ -122,11 +122,6 @@ class UtilizationReport:
     per_codebook_percent: np.ndarray  # (num_groups, num_residuals)
     mean_percent: float
 
-    @property
-    def empty(self) -> bool:
-        """No tokens seen: any token puts every codebook above 0 %."""
-        return self.mean_percent == 0.0
-
 
 def _project(stacked: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply per-group matrices (G, m, n) to vectors (..., G, n).

@@ -576,6 +576,24 @@ class TestScheduleSim:
         assert stdout == ""
         assert not (tmp_path / "x.grfq").exists()
 
+    def test_vocab_past_2_53_exits_3_before_reading_input(self, tmp_path, capsys, monkeypatch):
+        from grfsq import generation
+
+        def fail(*args, **kwargs):
+            raise AssertionError("speech tokens were read before --vocab was checked")
+
+        monkeypatch.setattr(generation, "load_speech_tokens", fail)
+        speech, controls = self.write_speech_and_controls(tmp_path, 5)
+        vocab = str(2**53 + 1)  # a float64 context would merge tokens 2**53 and 2**53 + 1
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(speech), "--controls", str(controls),
+            "--out", str(tmp_path / "x.grfq"), "--vocab", vocab,
+        )
+        assert code == 3, stderr
+        assert f"--vocab must be at most 2**53, got {vocab}" in stderr
+        assert stdout == ""
+        assert not (tmp_path / "x.grfq").exists()
+
     def test_no_frames_score_positive_zero(self, tmp_path, capsys):
         speech, controls = tmp_path / "speech.txt", tmp_path / "controls.jsonl"
         speech.write_text("")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,13 @@ class TestEnumerateCodebook:
     def test_cap(self):
         with pytest.raises(TooLarge):
             enumerate_codebook(LevelSpec((10,) * 7))
-        with pytest.raises(TooLarge):
-            enumerate_codebook(SPEC5x4, cap=100)
         assert ENUMERATION_CAP == 10**6
+        spec = LevelSpec((1000, 1001))  # one past the cap: 16 MB of codewords
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                enumerate_codebook(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before any codeword is built

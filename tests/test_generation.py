@@ -381,6 +381,44 @@ class TestRowPathMatchesDensePath:
             assert layer_nll.tolist() == [0.0, 0.0]
 
 
+class TestPublicGridFunctionsTakeRows:
+    """validate_prediction_grid, argmax_sample and nll check a RowGrid as its
+    rows, as generate does, without building its dense grid."""
+
+    @pytest.mark.parametrize("call", [
+        validate_prediction_grid,
+        argmax_sample,
+        lambda grid: nll(grid, np.zeros(grid.shape[:2], dtype=np.int64)),
+        lambda grid: generate(
+            lambda ctx: grid, np.zeros(2), *make_inputs(4), num_layers=1, num_groups=3
+        ),
+    ], ids=["validate_prediction_grid", "argmax_sample", "nll", "generate"])
+    def test_unreferenced_bad_row_is_refused(self, call):
+        rows = np.full((2, 5), 0.2)
+        rows[1, 3] = np.nan  # no cell uses row 1
+        grid = RowGrid(rows, np.zeros((4, 3), dtype=np.intp))
+        with pytest.raises((InvalidInput, PredictorContractViolation), match="finite"):
+            call(grid)
+
+    def test_validation_returns_the_row_grid(self):
+        grid = RowGrid(np.full((1, 4), 0.25), np.zeros((2, 3), dtype=np.intp))
+        assert validate_prediction_grid(grid) is grid
+
+    def test_few_rows_of_a_large_grid(self):
+        T, G, C = 2000, 12, 625  # one dense grid is 120 MB
+        rng = np.random.default_rng(59)
+        grid = RowGrid(rng.dirichlet(np.ones(C), size=3), rng.integers(0, 3, size=(T, G)))
+        dense = np.asarray(grid)
+        tokens, value = argmax_sample(dense), nll(dense, argmax_sample(dense))
+        del dense
+        peak = TestGenerationMemory.peak_bytes(
+            lambda: (argmax_sample(grid), nll(grid, argmax_sample(grid)))
+        )
+        assert peak < 4 << 20
+        assert np.array_equal(argmax_sample(grid), tokens)
+        assert nll(grid, tokens) == value
+
+
 class TestGenerationMemory:
     """generate() holds a layer's distinct rows, never its (T, G, C) grid."""
 
@@ -694,6 +732,29 @@ class TestValidation:
             ControlTrack(head_pose=np.zeros((3, 2)), gaze=np.zeros((3, 2)), blink=np.zeros((3, 2)))
         with pytest.raises(InvalidInput):
             ControlTrack(head_pose=np.zeros((3, 3)), gaze=np.zeros((2, 2)), blink=np.zeros((3, 2)))
+
+
+class TestSpeechVocabCap:
+    """Speech tokens reach predictors through the float64 context, which is
+    exact only up to 2**53, so no larger vocabulary is accepted."""
+
+    def test_vocab_past_the_cap_is_refused(self, tmp_path):
+        path = tmp_path / "tokens.txt"
+        path.write_text(f"{2**53 + 1}\n{2**53 + 3}\n")
+        message = r"vocab must be at most 2\*\*53"
+        with pytest.raises(InvalidInput, match=message):
+            SpeechTokenSeq(tokens=np.array([2**53 + 1, 2**53 + 3]), vocab=2**60)
+        with pytest.raises(InvalidInput, match=message):
+            load_speech_tokens(path, vocab=2**53 + 1)
+
+    def test_tokens_at_the_cap_stay_exact(self):
+        a, b = 2**53 - 3, 2**53 - 1
+        train = SpeechTokenSeq(tokens=np.array([a, a, b, b]), vocab=2**53)
+        model = BigramPredictor.fit(np.array([0, 0, 1, 1])[:, None, None], train, 2)
+        speech = SpeechTokenSeq(tokens=np.array([a, b]), vocab=2**53)
+        controls = ControlTrack(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
+        grid = model(assemble_context(np.zeros(0), 0, speech, controls, num_groups=1))
+        assert np.asarray(grid)[:, 0].tolist() == [[0.75, 0.25], [0.25, 0.75]]
 
 
 class TestFileLoaders:
