@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigMismatch, CorruptStream, InvalidConfig
+from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidInput
 from .fsq import _checked_int, _checked_reals
 from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utilization
 
@@ -69,53 +69,86 @@ class BaselineConfig:
 
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest centroid per row of each group, (G, n, d) x (G, k, d) -> (G, n),
-    by expanded squared distance; ties -> lowest index. Blocks of _CHUNK / G
-    rows keep the (G, rows, k) distance block near _CHUNK x k values."""
+    by expanded squared distance c2 - 2 x.c; ties -> lowest index. Blocks of
+    _CHUNK / G rows reuse one (G, rows, k) distance buffer of about _CHUNK x k
+    values."""
     G, n, _ = data.shape
+    k = centers.shape[1]
     labels = np.empty((G, n), dtype=np.int64)
     c2 = (centers**2).sum(axis=2)[:, None, :]
     centers_t = centers.transpose(0, 2, 1)
     step = max(1, _CHUNK // G)
+    buf = np.empty(G * min(step, n) * k)
     for s in range(0, n, step):
-        d = c2 - 2.0 * np.matmul(data[:, s : s + step], centers_t)
-        labels[:, s : s + step] = d.argmin(axis=2)
+        block = data[:, s : s + step]
+        d = buf[: block.shape[1] * G * k].reshape(G, -1, k)
+        np.matmul(block, centers_t, out=d)
+        d *= -2.0  # c2 + (-2 M) is c2 - 2 M bit for bit: doubling is exact
+        d += c2
+        d.argmin(axis=2, out=labels[:, s : s + step])
     return labels
 
 
 def _gather(centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Each group's chosen centroids: (G, k, d), (G, n) -> (G, n, d)."""
-    return np.take_along_axis(centers, labels[..., None], axis=1)
+    return centers[np.arange(len(centers))[:, None], labels]
 
 
-def _kmeans(data: np.ndarray, k: int, iters: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _draw(d2: np.ndarray, total: np.ndarray, rngs) -> np.ndarray:
+    """One k-means++ pick per group: row i with probability d2[g, i] / total[g],
+    by `Generator.choice(n, p=...)`'s own arithmetic and its one uniform draw;
+    a uniform `integers(n)` pick where total is 0."""
+    picks = np.empty(len(rngs), dtype=np.int64)
+    live = np.flatnonzero(total > 0)
+    cdf = np.cumsum(d2[live] / total[live, None], axis=1)
+    cdf /= cdf[:, -1:]
+    draws = np.array([rngs[g].random() for g in live])
+    picks[live] = (cdf <= draws[:, None]).sum(axis=1)
+    for g in np.flatnonzero(total == 0):
+        picks[g] = rngs[g].integers(d2.shape[1])
+    return picks
+
+
+def _kmeans(
+    data: np.ndarray, k: int, iters: int, seeds, track_history: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     """k-means on every group of (G, n, d) data at once, one seed per group.
 
-    Returns (centers (G, k, d), distortion history (iterations, G)). Each
-    group draws from its own generator and stops updating once its labels
-    repeat (its later history entries are NaN), so every group's centers
-    equal those of a one-group run.
+    Returns (centers (G, k, d), distortion history (iterations, G) or None).
+    Each group draws from its own generator and stops updating once its
+    labels repeat (its later history entries are NaN), so every group's
+    centers equal those of a one-group run. The per-point distortion is
+    computed only for the history or to reseed an empty cluster.
+
+    k-means++ keeps the data coordinate-major, (d, G, n), and sums a
+    distance over its d coordinate planes in order. Below 8 dims that is
+    bit-equal to numpy's sum along a row; from 8 dims numpy sums a row
+    pairwise, so a distance may differ in its last bit. Distances only weigh
+    which data row becomes a center, so a pick could move only when a
+    uniform draw lands within that rounding of a step of the cdf.
     """
     G, n, dim = data.shape
     if k > n:
         raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = np.arange(G)
+    coords = np.ascontiguousarray(data.transpose(2, 0, 1))
 
     centers = np.empty((G, k, dim))
     centers[:, 0] = data[rows, [rng.integers(n) for rng in rngs]]
-    d2 = ((data - centers[:, :1]) ** 2).sum(axis=2)
-    for j in range(1, k):
-        total = d2.sum(axis=1)
-        picks = [
-            rng.choice(n, p=d2[g] / total[g]) if total[g] > 0 else rng.integers(n)
-            for g, rng in enumerate(rngs)
-        ]
-        centers[:, j] = data[rows, picks]
-        np.minimum(d2, ((data - centers[:, j, None]) ** 2).sum(axis=2), out=d2)
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        d2 = ((coords - centers[:, 0].T[:, :, None]) ** 2).sum(axis=0)
+        for j in range(1, k):
+            total = d2.sum(axis=1)
+            if not np.isfinite(total).all():
+                raise InvalidInput("frames too large: k-means++ distances overflow float64")
+            centers[:, j] = data[rows, _draw(d2, total, rngs)]
+            np.minimum(d2, ((coords - centers[:, j].T[:, :, None]) ** 2).sum(axis=0), out=d2)
 
     history = []
     active = np.ones(G, dtype=bool)
     offsets = rows[:, None] * k  # label -> bin of the flattened (G, k) grid
+    planes = coords.reshape(dim, G * n)  # rows in the order of the flattened labels
     prev_labels = None
     for _ in range(iters):
         labels = _assign(data, centers)
@@ -123,22 +156,26 @@ def _kmeans(data: np.ndarray, k: int, iters: int, seeds) -> tuple[np.ndarray, np
             active &= (labels != prev_labels).any(axis=1)
             if not active.any():
                 break
-        dists = ((data - _gather(centers, labels)) ** 2).sum(axis=2)
-        counts = np.bincount((offsets + labels).ravel(), minlength=G * k).reshape(G, k)
-        for g, j in zip(*np.nonzero((counts == 0) & active[:, None])):
-            far = int(np.argmax(dists[g]))
-            centers[g, j] = data[g, far]
-            labels[g, far] = j
-            dists[g, far] = 0.0
-        history.append(np.where(active, dists.sum(axis=1), np.nan))
         slots = (offsets + labels).ravel()
         counts = np.bincount(slots, minlength=G * k).reshape(G, k)
+        empty = (counts == 0) & active[:, None]
+        if track_history or empty.any():
+            dists = ((data - _gather(centers, labels)) ** 2).sum(axis=2)
+            for g, j in zip(*np.nonzero(empty)):
+                far = int(np.argmax(dists[g]))
+                centers[g, j] = data[g, far]
+                labels[g, far] = j
+                dists[g, far] = 0.0
+            if track_history:
+                history.append(np.where(active, dists.sum(axis=1), np.nan))
+            slots = (offsets + labels).ravel()
+            counts = np.bincount(slots, minlength=G * k).reshape(G, k)
         # one coordinate at a time; bincount adds each bin's rows in row order
-        sums = np.stack([np.bincount(slots, w, G * k) for w in data.reshape(-1, dim).T], axis=1)
+        sums = np.stack([np.bincount(slots, w, G * k) for w in planes], axis=1)
         update = (counts > 0) & active[:, None]
         centers[update] = sums.reshape(G, k, dim)[update] / counts[update][:, None]
         prev_labels = labels
-    return centers, np.reshape(history, (-1, G))
+    return centers, np.reshape(history, (-1, G)) if track_history else None
 
 
 def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False):
@@ -152,7 +189,7 @@ def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False
     k = _checked_int(k, "k", InvalidConfig, low=1)
     iters = _checked_int(iters, "iters", InvalidConfig)
     seeds = [_checked_int(seed, "seed", InvalidConfig)]
-    centers, history = _kmeans(_frames_array(data)[None], k, iters, seeds)
+    centers, history = _kmeans(_frames_array(data)[None], k, iters, seeds, return_history)
     book = Codebook(centers[0])
     if return_history:
         return book, history[:, 0]

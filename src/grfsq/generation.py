@@ -443,17 +443,36 @@ def _lines(path):
     """(lineno, text) of each non-blank line of a UTF-8 file, stripped and
     numbered from 1; callers format `path:lineno` only when they raise."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text:
-                yield lineno, text
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if text:
+                    yield lineno, text
+        except UnicodeDecodeError:
+            raise InvalidInput(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
+
+
+def _undecodable_line(path) -> int:
+    """The number of the first line holding a byte that is not UTF-8, with
+    lines split as text mode splits them (at \\n, \\r\\n and a lone \\r).
+    Text mode decodes in chunks, so only this second, binary pass can tell."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[: exc.start]
+    head = data.decode("utf-8")
+    return head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
 
 
 def _json_line(path, lineno: int, text: str):
     """One line's JSON value, or `InvalidInput` naming `path:lineno`."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past Python's digit limit
+    # ValueError also covers an integer past Python's digit limit;
+    # RecursionError, arrays or objects nested too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
 
 

@@ -214,7 +214,9 @@ def quantize_sequence(
         idx, partials = _encode(chunk, cfg)
         indices[s : s + _CHUNK] = idx
         recon[s : s + _CHUNK] = partials[-1]
-        sq_err_by_stage += ((chunk - partials) ** 2).sum(axis=(1, 2))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            sq_err_by_stage += ((chunk - partials) ** 2).sum(axis=(1, 2))
+    _refuse_overflow(sq_err_by_stage)
 
     per_frame, mean = _frame_rmse(arr, recon)
     report = ReconstructionReport(
@@ -227,8 +229,17 @@ def quantize_sequence(
 
 def _frame_rmse(frames: np.ndarray, recon: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-frame RMSE of (T, D) reconstructions, and its mean (0.0 for no frames)."""
-    per_frame = np.sqrt(((frames - recon) ** 2).mean(axis=1))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        per_frame = np.sqrt(((frames - recon) ** 2).mean(axis=1))
+    _refuse_overflow(per_frame)
     return per_frame, float(per_frame.mean()) if frames.shape[0] else 0.0
+
+
+def _refuse_overflow(errors: np.ndarray) -> None:
+    """InvalidInput unless every squared-error figure is finite: frames near
+    float64's range square past it, and JSON has no Infinity."""
+    if not np.isfinite(errors).all():
+        raise InvalidInput("frames too large: their squared error overflows float64")
 
 
 def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:

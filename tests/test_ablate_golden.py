@@ -1,9 +1,11 @@
-"""Golden check for `ablate` over all five schemes with a holdout split.
+"""Golden checks for `ablate` over all five schemes with a holdout split.
 
 The frames come from a fixed integer recurrence (no RNG). The expected
-SHA-256 values of the JSON and CSV stdouts and of every saved codebook blob
-were recorded with the per-group k-means fit and encode loops that the
-grouped path replaced. Any change to a fitted centroid, a token or an RMSE
+SHA-256 values of the 32-dim run were recorded with the per-group k-means
+fit and encode loops that the grouped path replaced; those of the 48-dim
+run with duplicated rows were recorded with the row-by-row k-means++
+distances and `rng.choice` draws that the coordinate-major distances and
+batched draws replaced. Any change to a fitted centroid, a token or an RMSE
 figure moves one of these hashes.
 """
 
@@ -86,3 +88,41 @@ def test_ablate_matches_recorded_hashes(tmp_path, monkeypatch, capsys):
     assert len(json.loads(json_stdout)) == 5
     assert (_sha(json_stdout), _sha(csv_stdout)) == (JSON_SHA256, CSV_SHA256)
     assert books == CODEBOOK_SHA256
+
+
+DUP_T, DUP_D, DUP_DISTINCT = 360, 48, 90
+DUP_FLAGS = [
+    "--holdout", "0.2", "--seed", "9",
+    "--vq-k", "128", "--gvq-groups", "12", "--gvq-k", "16",
+    "--rvq-residuals", "3", "--rvq-k", "32",
+    "--grvq-groups", "12", "--grvq-residuals", "2", "--grvq-k", "8",
+]
+DUP_JSON_SHA256 = "589c4febd14efe230dabc95f8c24ee3c307de3e8429f1b7fbdc8cfb8e0f6095f"
+DUP_CODEBOOKS_SHA256 = "736ca5c05ae3b1a45e8ead2644992e5266892fa92888a139119316bd3a4ef104"
+
+
+def _frames_with_duplicates() -> list[list[float]]:
+    """DUP_T × 48 rows in [-3, 3], in steps of 0.01, that repeat 90 distinct
+    rows. vq's 128 centers outnumber them, so k-means++ runs out of distance
+    and falls back to uniform picks, and Lloyd reseeds empty clusters; every
+    scheme sees repeated points."""
+    vals = [(v % 601 - 300) / 100 for v in _noise(DUP_DISTINCT * DUP_D, 33)]
+    distinct = [vals[i * DUP_D : (i + 1) * DUP_D] for i in range(DUP_DISTINCT)]
+    picks = [v % DUP_DISTINCT for v in _noise(DUP_T, 35)]
+    return [distinct[i] for i in picks]
+
+
+def test_ablate_on_repeated_48_dim_rows_matches_recorded_hashes(tmp_path, monkeypatch, capsys):
+    (tmp_path / "frames.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in _frames_with_duplicates())
+    )
+    monkeypatch.chdir(tmp_path)
+
+    assert main(["ablate", "frames.jsonl", *DUP_FLAGS, "--save-codebooks", "books"]) == 0
+    json_stdout = capsys.readouterr().out
+
+    books = b"".join(
+        p.name.encode() + p.read_bytes() for p in sorted((tmp_path / "books").iterdir())
+    )
+    assert len(json.loads(json_stdout)) == 5
+    assert (_sha(json_stdout), _sha(books)) == (DUP_JSON_SHA256, DUP_CODEBOOKS_SHA256)

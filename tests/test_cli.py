@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -687,6 +688,57 @@ def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     assert stderr.startswith("error: ")
     assert stdout == ""
     assert not (tmp_path / "x.grfq").exists()
+
+
+NESTED = b"[" * 100_000 + b"\n"
+
+
+@pytest.mark.parametrize("slot, content, where, message", [
+    ("frames", b"[1.0]\n[2.0\xff]\n", 2, "not UTF-8 text"),
+    # lines counted as text mode counts them: a lone \r ends one too
+    ("frames", b"[1.0]\r[2.0]\r\n\n[\xff]\n", 4, "not UTF-8 text"),
+    ("frames", b"[1.0]\n" * 3000 + b"[\xfe]\n", 3001, "not UTF-8 text"),  # past one decoded chunk
+    ("speech", b"1\n2\n\xff\n", 3, "not UTF-8 text"),
+    ("controls", b"\xff\n", 1, "not UTF-8 text"),
+    ("frames", NESTED, 1, "invalid JSON"),
+    ("controls", NESTED, 1, "invalid JSON"),
+], ids=["frames-ff", "frames-cr-lines", "frames-late-byte", "speech-ff", "controls-ff",
+        "frames-nested", "controls-nested"])
+def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content, where, message):
+    speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 3)
+    paths = {"frames": tmp_path / "frames.jsonl", "speech": speech, "controls": controls}
+    paths[slot].write_bytes(content)
+    if slot == "frames":
+        argv = ["encode", str(paths["frames"]), str(tmp_path / "x.grfq")]
+    else:
+        argv = ["schedule-sim", "--speech", str(speech), "--controls", str(controls),
+                "--out", str(tmp_path / "x.grfq")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2, stderr
+    assert stderr.startswith(f"error: {paths[slot]}:{where}: {message}")
+    assert stdout == ""
+    assert not (tmp_path / "x.grfq").exists()
+
+
+@pytest.mark.parametrize("scale, argv", [
+    # k-means++ distances overflow float64: once a NaN draw probability
+    (10.0 ** np.linspace(160, 200, 4), ["ablate", "{frames}", "--schemes", "gvq",
+                                        "--gvq-groups", "1", "--gvq-k", "4"]),
+    # the reconstruction error overflows float64: once "rmse": Infinity
+    (np.full(48, 1e160), ["encode", "{frames}", "{out}"]),
+    (np.full(48, 1e160), ["ablate", "{frames}", "--schemes", "grfsq"]),
+], ids=["ablate-kmeans", "encode", "ablate-grfsq"])
+def test_frames_too_large_for_float64_exit_2(tmp_path, capsys, scale, argv):
+    frames = np.random.default_rng(68).uniform(-1, 1, (40, len(scale))) * scale
+    path, out = tmp_path / "frames.jsonl", tmp_path / "x.grfq"
+    write_jsonl_frames(path, frames)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning on stderr is a failure too
+        code, stdout, stderr = run(capsys, *(a.format(frames=path, out=out) for a in argv))
+    assert code == 2, stderr
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert stdout == ""
+    assert not out.exists()
 
 
 class TestArgvFuzz:

@@ -55,6 +55,17 @@ def test_rows_span_several_blocks(groups, n):
     _assert_grids_equal(data, BaselineConfig("grvq", 12, groups=groups, residuals=2, seed=3))
 
 
+@pytest.mark.parametrize("groups, residuals, dim", [(1, 1, 48), (1, 3, 48), (3, 2, 16)])
+def test_groups_wider_than_8_dims(groups, residuals, dim):
+    # numpy sums a row of 8 or more values pairwise, while k-means++ adds
+    # coordinate planes one after another: the picks must still agree
+    for seed in (0, 7):
+        data = _data(300, groups * dim, 120, seed + dim)
+        for k in (24, 160):  # 160 > 120 distinct rows: uniform picks and empty clusters
+            cfg = BaselineConfig("grvq", k, groups=groups, residuals=residuals, seed=seed)
+            _assert_grids_equal(data, cfg)
+
+
 def test_assign_is_nearest_centroid_per_group():
     rng = np.random.default_rng(41)
     data, centers = rng.normal(size=(5, 700, 3)), rng.normal(size=(5, 9, 3))
@@ -71,6 +82,8 @@ def test_assign_is_nearest_centroid_per_group():
     (10, 1, 4, 10, 2),
     (30, 2, 30, 8, 10),
     (40, 5, 6, 0, 40),
+    (300, 48, 24, 8, 300),
+    (200, 48, 60, 8, 50),
 ])
 def test_kmeans_fit_is_the_one_group_case(n, dim, k, iters, distinct):
     data = _data(n, dim, distinct, n + k)
@@ -90,7 +103,7 @@ def test_groups_stop_on_their_own_iteration():
     blobs = np.repeat(np.array([[0.0, 0.0], [9.0, 9.0], [0.0, 9.0]]), 30, axis=0)
     data = np.stack([blobs, rng.normal(size=(90, 2)), _data(90, 2, 12, 43)])
     seeds = [11, 12, 13]
-    centers, history = baselines._kmeans(data, 6, 25, seeds)
+    centers, history = baselines._kmeans(data, 6, 25, seeds, track_history=True)
     lengths = []
     for g, seed in enumerate(seeds):
         book, ref_history = ref.kmeans_fit(data[g], 6, 25, seed, return_history=True)
