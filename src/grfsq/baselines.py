@@ -75,7 +75,10 @@ def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     G, n, _ = data.shape
     k = centers.shape[1]
     labels = np.empty((G, n), dtype=np.int64)
-    c2 = (centers**2).sum(axis=2)[:, None, :]
+    with np.errstate(over="ignore"):  # an overflowed norm is refused below
+        c2 = (centers**2).sum(axis=2)[:, None, :]
+    if not np.isfinite(c2).all():  # c2 - 2 x.c would be inf - inf
+        raise InvalidInput("frames too large: k-means distances overflow float64")
     centers_t = centers.transpose(0, 2, 1)
     step = max(1, _CHUNK // G)
     buf = np.empty(G * min(step, n) * k)

@@ -54,6 +54,7 @@ _CONFIG_ERRORS = (
     TooLarge,
     PredictorContractViolation,
 )
+_WRITE_CELLS = 1 << 16  # frame values per formatting table while writing frames
 
 
 def _load_frames(path: str) -> np.ndarray:
@@ -83,10 +84,36 @@ def _load_frames(path: str) -> np.ndarray:
 
 
 def _write_frames(path: str, frames: np.ndarray) -> None:
+    """Write finite (T, D) frames as JSON lines, one array per frame, each
+    value in its shortest round-trip text: the bytes `json.dumps` gives.
+
+    Decoded frames repeat a few grid-derived values, so rows go in blocks of
+    about `_WRITE_CELLS` values, each block formats each of its distinct
+    float64 values once (none the block before it formatted) and builds its
+    lines from that table."""
+    step = max(1, _WRITE_CELLS // max(frames.shape[1], 1))
+    table = np.zeros(1, np.uint64), np.array([b"0.0"], "S24")  # 0.0 (bits 0): never empty
     with open(path, "w", encoding="utf-8") as fh:
-        for row in frames:
-            fh.write(json.dumps([float(v) for v in row]))
-            fh.write("\n")
+        for s in range(0, len(frames), step):
+            block = np.ascontiguousarray(frames[s : s + step], dtype=np.float64)
+            table = _write_block(fh, block, *table)
+
+
+def _write_block(fh, block: np.ndarray, old_bits: np.ndarray, old_text: np.ndarray):
+    """Write one block's lines; return its table, (sorted distinct bit
+    patterns, their texts), for the next block to reuse."""
+    # bit patterns, so that -0.0 and 0.0 stay apart
+    bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+    at = np.searchsorted(old_bits, bits).clip(max=len(old_bits) - 1)
+    text = old_text[at]
+    fresh = old_bits[at] != bits
+    # float.__repr__ is what json.dumps writes for a finite float, and at
+    # most 24 ASCII characters: sign, 17 digits, point, e-308
+    values = bits[fresh].view(np.float64)
+    text[fresh] = np.fromiter(map(float.__repr__, values), "S24", len(values))
+    for row in index.reshape(block.shape):
+        fh.write((b"[" + b", ".join(text[row].tolist()) + b"]\n").decode("ascii"))
+    return bits, text
 
 
 def _parse_levels(text: str) -> LevelSpec:

@@ -236,8 +236,9 @@ def _frame_rmse(frames: np.ndarray, recon: np.ndarray) -> tuple[np.ndarray, floa
 
 
 def _refuse_overflow(errors: np.ndarray) -> None:
-    """InvalidInput unless every squared-error figure is finite: frames near
-    float64's range square past it, and JSON has no Infinity."""
+    """InvalidInput unless every squared-error or covariance figure is
+    finite: frames near float64's range square past it, and JSON has no
+    Infinity."""
     if not np.isfinite(errors).all():
         raise InvalidInput("frames too large: their squared error overflows float64")
 
@@ -261,8 +262,10 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     downs = np.empty((cfg.num_groups, d, dg))
     for g in range(cfg.num_groups):
         block = arr[:, g * dg : (g + 1) * dg]
-        centered = block - block.mean(axis=0)
-        cov = centered.T @ centered / max(arr.shape[0] - 1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            centered = block - block.mean(axis=0)
+            cov = centered.T @ centered / max(arr.shape[0] - 1, 1)
+        _refuse_overflow(cov)  # eigh does not converge on inf or NaN
         eigvals, eigvecs = np.linalg.eigh(cov)
         order = np.argsort(eigvals)[::-1]
         top = eigvals[order[:d]]

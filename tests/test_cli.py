@@ -2,14 +2,19 @@ import contextlib
 import io
 import json
 import struct
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from grfsq import cli
 from grfsq.cli import main
+from reference_writer import reference_write_frames
 
 
 def write_jsonl_frames(path, frames):
@@ -57,6 +62,68 @@ class TestLoadFrames:
         path = tmp_path / "empty_rows.jsonl"
         path.write_text("[]\n\n[]\n")
         assert _load_frames(str(path)).shape == (2, 0)
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004, 1 / 3, -1e-7, 1e16,
+]
+
+
+class TestWriteFrames:
+    """The frame writer formats each distinct value of a block once; its files
+    must equal the per-row `json.dumps` reference byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writer")
+
+    @staticmethod
+    def assert_matches_reference(root, frames):
+        cli._write_frames(str(root / "got.jsonl"), frames)
+        reference_write_frames(root / "want.jsonl", frames)
+        assert (root / "got.jsonl").read_bytes() == (root / "want.jsonl").read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, root, data):
+        floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+        if data.draw(st.booleans()):  # heavy repeats: every value from a small pool
+            floats = st.sampled_from(data.draw(st.lists(floats, min_size=1, max_size=4)))
+        shape = data.draw(st.tuples(st.integers(0, 12), st.integers(1, 6)))
+        frames = data.draw(hnp.arrays(np.float64, shape, elements=floats))
+        # a small cell budget puts most draws across several blocks
+        with mock.patch.object(cli, "_WRITE_CELLS", data.draw(st.integers(1, 40))):
+            self.assert_matches_reference(root, frames)
+
+    @pytest.mark.parametrize("frames", [
+        np.array([[0.0], [-0.0], [0.0], [-0.0]]),  # one column, both zeros
+        np.array([EDGE_FLOATS]),  # one frame
+        np.array([EDGE_FLOATS]).T,  # one value a frame
+        np.empty((0, 5)),
+        np.empty((3, 0)),
+        # more frames than one block at the real budget: repeated and all-distinct
+        np.random.default_rng(70).integers(-2, 3, (1500, 96)) / 4.0,
+        np.random.default_rng(71).standard_normal((1500, 96)),
+        np.random.default_rng(72).standard_normal((3, 70_000)),  # a frame wider than a block
+    ], ids=["signed-zeros", "one-frame", "one-value", "no-frames", "no-values",
+            "repeats-many-blocks", "distinct-many-blocks", "wide-frames"])
+    def test_edge_shapes_match_reference(self, root, frames):
+        self.assert_matches_reference(root, frames)
+
+    def test_peak_memory_does_not_grow_with_frames(self, tmp_path):
+        rng = np.random.default_rng(73)
+        peaks = {}
+        for T in (2000, 8000):
+            frames = rng.standard_normal((T, 96))  # no value repeats
+            tracemalloc.start()
+            try:
+                cli._write_frames(str(tmp_path / "out.jsonl"), frames)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8000] < 10 << 20
+        assert peaks[8000] <= 1.25 * peaks[2000]
 
 
 class TestEncode:
@@ -720,16 +787,22 @@ def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content,
     assert not (tmp_path / "x.grfq").exists()
 
 
-@pytest.mark.parametrize("scale, argv", [
+@pytest.mark.parametrize("offset, scale, argv", [
     # k-means++ distances overflow float64: once a NaN draw probability
-    (10.0 ** np.linspace(160, 200, 4), ["ablate", "{frames}", "--schemes", "gvq",
-                                        "--gvq-groups", "1", "--gvq-k", "4"]),
+    (0.0, 10.0 ** np.linspace(160, 200, 4), ["ablate", "{frames}", "--schemes", "gvq",
+                                             "--gvq-groups", "1", "--gvq-k", "4"]),
     # the reconstruction error overflows float64: once "rmse": Infinity
-    (np.full(48, 1e160), ["encode", "{frames}", "{out}"]),
-    (np.full(48, 1e160), ["ablate", "{frames}", "--schemes", "grfsq"]),
-], ids=["ablate-kmeans", "encode", "ablate-grfsq"])
-def test_frames_too_large_for_float64_exit_2(tmp_path, capsys, scale, argv):
-    frames = np.random.default_rng(68).uniform(-1, 1, (40, len(scale))) * scale
+    (0.0, np.full(48, 1e160), ["encode", "{frames}", "{out}"]),
+    (0.0, np.full(48, 1e160), ["ablate", "{frames}", "--schemes", "grfsq"]),
+    # k-means++ distances stay finite, but the centroid norms in the Lloyd
+    # assignment overflow: once labels from inf - inf
+    (1e160, np.full(48, 1e145), ["ablate", "{frames}", "--schemes", "vq,rvq", "--vq-k", "4",
+                                 "--rvq-k", "4", "--rvq-residuals", "2"]),
+    # the calibration covariance overflows float64: once a LinAlgError traceback
+    (0.0, np.full(96, 1e200), ["encode", "{frames}", "{out}", "--calibrate", "{frames}"]),
+], ids=["ablate-kmeans", "encode", "ablate-grfsq", "ablate-lloyd", "encode-calibrate"])
+def test_frames_too_large_for_float64_exit_2(tmp_path, capsys, offset, scale, argv):
+    frames = offset + np.random.default_rng(68).uniform(-1, 1, (40, len(scale))) * scale
     path, out = tmp_path / "frames.jsonl", tmp_path / "x.grfq"
     write_jsonl_frames(path, frames)
     with warnings.catch_warnings():
@@ -832,6 +905,101 @@ class TestArgvFuzz:
         ]
         argv += self.flags(data, **self.QUANTIZER, vocab=st.integers(4, 8))
         self.run_cli(argv)
+
+
+HOSTILE_FRAGMENTS = [
+    b"\xff", b"\xef\xbb\xbf", b"\x00", b"\r", b"NaN", b"Infinity", b"1e400", b"7" * 5000,
+    b"true", b"[" * 100_000, b"\n[" + b"0.5, " * 200_000 + b"0.5]\n",  # last: a 1 MB line
+]
+
+
+class TestInputFileFuzz:
+    """Every text-input slot of encode, ablate and schedule-sim, its small
+    valid file mutated by byte set, flip, insert, delete and truncate, or
+    with a hostile fragment inserted: each run exits 0, 2, 3 or 4, prints
+    either nothing or one JSON document, and leaves no traceback on stderr."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        from grfsq.bitstream import StreamHeader, write_stream
+        from grfsq.fsq import LevelSpec
+        from grfsq.quantizer import GrfsqConfig
+
+        root = tmp_path_factory.mktemp("files")
+        rng = np.random.default_rng(74)
+        frames = rng.uniform(-1, 1, size=(12, 12))
+        write_jsonl_frames(root / "frames.jsonl", frames)
+        (root / "frames.csv").write_text(
+            "".join(",".join(map(repr, row)) + "\n" for row in frames.tolist())
+        )
+        write_jsonl_frames(root / "calib.jsonl", rng.normal(size=(8, 12)))
+        TestScheduleSim().write_speech_and_controls(root, 6, vocab=4)
+        header = StreamHeader(GrfsqConfig(2, 2, LevelSpec((3, 3)), 2), frame_count=6, fps=25.0)
+        with open(root / "train.grfq", "wb") as fh:
+            write_stream(header, rng.integers(0, 9, size=(6, 2, 2)), fh)
+        return root
+
+    @staticmethod
+    def sim(speech, controls):
+        return ["schedule-sim", "--speech", speech, "--controls", controls, "--out", "{out.grfq}",
+                "--groups", "2", "--residuals", "2", "--levels", "3,3", "--vocab", "4"]
+
+    ABLATE = ["ablate", "{mutated}", "--schemes", "vq,rvq,grfsq", "--vq-k", "2", "--rvq-k", "2",
+              "--rvq-residuals", "2", "--kmeans-iters", "2", "--groups", "3"]
+    # slot: (the file mutated, argv naming each file as {file name})
+    SLOTS = {
+        "encode-jsonl": ("frames.jsonl", ["encode", "{mutated}", "{out.grfq}", "--groups", "3"]),
+        "encode-csv": ("frames.csv", ["encode", "{mutated}", "{out.grfq}", "--groups", "3"]),
+        "encode-calibrate": ("calib.jsonl", ["encode", "{frames.jsonl}", "{out.grfq}",
+                                             "--groups", "2", "--calibrate", "{mutated}"]),
+        "ablate-jsonl": ("frames.jsonl", ABLATE),
+        "ablate-csv": ("frames.csv", ABLATE),
+        "sim-speech": ("speech.txt", sim("{mutated}", "{controls.jsonl}")),
+        "sim-controls": ("controls.jsonl", sim("{speech.txt}", "{mutated}")),
+        "sim-train-speech": ("speech.txt", sim("{speech.txt}", "{controls.jsonl}") + [
+            "--predictor", "bigram", "--train-motion", "{train.grfq}", "--train-speech", "{mutated}",
+        ]),
+    }
+
+    @staticmethod
+    def mutate(data, content: bytes) -> bytes:
+        buf = bytearray(content)
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(["set", "flip", "insert", "delete", "truncate", "hostile"]))
+            at = data.draw(st.integers(0, len(buf)))
+            if op in ("set", "flip") and at < len(buf):
+                buf[at] = data.draw(st.integers(0, 255)) if op == "set" else (
+                    buf[at] ^ 1 << data.draw(st.integers(0, 7)))
+            elif op == "insert":
+                buf[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+            elif op == "delete":
+                del buf[at : at + data.draw(st.integers(1, 8))]
+            elif op == "truncate":
+                del buf[at:]
+            elif op == "hostile":
+                buf[at:at] = data.draw(st.sampled_from(HOSTILE_FRAGMENTS))
+        return bytes(buf)
+
+    @pytest.mark.parametrize("slot", sorted(SLOTS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_file(self, inputs, slot, data):
+        name, argv = self.SLOTS[slot]
+        mutated = inputs / ("mutated" + name[name.index("."):])  # the loader reads the suffix
+        mutated.write_bytes(self.mutate(data, (inputs / name).read_bytes()))
+        (inputs / "out.grfq").unlink(missing_ok=True)
+        paths = {p.name: p for p in inputs.iterdir()}
+        paths.update({"mutated": mutated, "out.grfq": inputs / "out.grfq"})
+        argv = [str(paths[arg[1:-1]]) if arg.startswith("{") else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue())  # exactly one JSON document
+        else:
+            assert code != 0, argv
 
 
 class TestDeterminism:
