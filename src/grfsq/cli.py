@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 2 input/data errors, 3 configuration errors,
 4 I/O errors. Metrics go to stdout as JSON; diagnostics go to stderr.
+
+Each command imports only what it runs: `ablate` imports `baselines` and
+`schedule-sim` imports `generation` when called, so starting the CLI (and
+`--help`, `encode` and `decode`) compiles neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -18,7 +21,8 @@ from array import array
 
 import numpy as np
 
-from . import baselines, bitstream, generation
+from . import bitstream
+from ._text import DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines
 from .errors import (
     ConfigMismatch,
     CorruptStream,
@@ -61,17 +65,17 @@ def _load_frames(path: str) -> np.ndarray:
     values = array("d")  # 8 bytes per value, not a list of float objects
     frames, width = 0, 0
     is_csv = str(path).lower().endswith(".csv")
-    for lineno, text in generation._lines(path):
+    for lineno, text in _lines(path):
         if is_csv:
             try:
                 row = [float(cell) for cell in text.split(",")]
             except ValueError:
                 raise InvalidInput(f"{path}:{lineno}: non-numeric CSV cell") from None
         else:
-            row = generation._json_line(path, lineno, text)
+            row = _json_line(path, lineno, text)
             if not isinstance(row, list):
                 raise InvalidInput(f"{path}:{lineno}: expected an array of numbers")
-        row = generation._finite_floats(row)
+        row = _finite_floats(row)
         if row is None:
             raise InvalidInput(f"{path}:{lineno}: expected finite numbers")
         if frames and len(row) != width:
@@ -236,6 +240,8 @@ def cmd_decode(args) -> int:
 def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
     """One ablation row's config, checked against the training frames so a
     bad flag fails before any codebook is fit."""
+    from . import baselines
+
     if scheme == "grfsq":
         return _stream_header(args, train.shape[1]).config
     groups, residuals, k = {
@@ -260,6 +266,8 @@ def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
 
 
 def cmd_ablate(args) -> int:
+    from . import baselines  # only ablate runs the k-means baselines
+
     frames = _load_frames(args.input)
     schemes = [s.strip().lower() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
@@ -311,6 +319,8 @@ def cmd_ablate(args) -> int:
         )
 
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
         writer.writeheader()
@@ -322,11 +332,13 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_schedule_sim(args) -> int:
+    from . import generation  # only schedule-sim runs the generation harness
+
     # every stream, shape and vocab limit is checked before any input is read or generated
     header = _stream_header(args)
     if args.vocab < 1:
         raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
-    if args.vocab > generation.MAX_SPEECH_VOCAB:  # tokens must stay exact in the float context
+    if args.vocab > MAX_SPEECH_VOCAB:  # tokens must stay exact in the float context
         raise InvalidConfig(f"--vocab must be at most 2**53, got {args.vocab}")
     cfg = header.config
     num_classes = cfg.codebook_size
@@ -442,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--controls", required=True, help="JSON-lines h/g/b records")
     sim.add_argument("--out", required=True, help="output .grfq token stream")
     add_quantizer_flags(sim)
-    sim.add_argument("--vocab", type=int, default=generation.DEFAULT_SPEECH_VOCAB)
+    sim.add_argument("--vocab", type=int, default=DEFAULT_SPEECH_VOCAB)
     sim.add_argument("--predictor", choices=("uniform", "bigram"), default="uniform")
     sim.add_argument("--train-motion", help=".grfq stream of target tensors for bigram")
     sim.add_argument("--train-speech", help="speech tokens aligned with --train-motion")

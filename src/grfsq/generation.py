@@ -9,19 +9,17 @@ produced at layer r-1 (an all-zero sentinel at layer 0).
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines
 from .errors import InvalidInput, PredictorContractViolation
 from .fsq import _checked_int, _checked_ints, _checked_reals, _real_array
 
 PROB_FLOOR = 1e-12
-DEFAULT_SPEECH_VOCAB = 4096
-MAX_SPEECH_VOCAB = 2**53  # the float64 `framewise` context holds every token exactly
 
 
 def _checked_vocab(vocab) -> int:
@@ -437,59 +435,6 @@ def load_speech_tokens(path, vocab: int = DEFAULT_SPEECH_VOCAB) -> SpeechTokenSe
             raise InvalidInput(f"{path}:{lineno}: token {value} outside vocab [0, {vocab})")
         tokens.append(value)
     return SpeechTokenSeq(tokens=np.asarray(tokens, dtype=np.int64), vocab=vocab)
-
-
-def _lines(path):
-    """(lineno, text) of each non-blank line of a UTF-8 file, stripped and
-    numbered from 1; callers format `path:lineno` only when they raise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if text:
-                    yield lineno, text
-        except UnicodeDecodeError:
-            raise InvalidInput(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
-
-
-def _undecodable_line(path) -> int:
-    """The number of the first line holding a byte that is not UTF-8, with
-    lines split as text mode splits them (at \\n, \\r\\n and a lone \\r).
-    Text mode decodes in chunks, so only this second, binary pass can tell."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    head = data.decode("utf-8")
-    return head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-
-
-def _json_line(path, lineno: int, text: str):
-    """One line's JSON value, or `InvalidInput` naming `path:lineno`."""
-    try:
-        return json.loads(text)
-    # ValueError also covers an integer past Python's digit limit;
-    # RecursionError, arrays or objects nested too deep to parse
-    except (ValueError, RecursionError) as exc:
-        raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
-
-
-_JSON_NUMBERS = frozenset((int, float))
-
-
-def _finite_floats(values) -> list[float] | None:
-    """A JSON list's numbers as floats, or None unless it is a list of finite
-    ints and floats. A bool is no number here, though Python makes it an int;
-    an integer too large for a float (JSON allows one) counts as not finite."""
-    if not isinstance(values, list) or not set(map(type, values)) <= _JSON_NUMBERS:
-        return None
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:
-        return None
-    return floats if all(map(math.isfinite, floats)) else None
 
 
 def load_controls(path) -> ControlTrack:

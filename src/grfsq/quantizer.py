@@ -175,16 +175,21 @@ def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
     """Rebuild frames (..., D) from index blocks (..., G, R).
 
     Stages accumulate in the same order as the quantizer, so the result is
-    bit-equal to the reconstruction returned there.
+    bit-equal to the reconstruction returned there. Blocks go `_CHUNK`
+    frames at a time, so the grid values and their temporaries stay small
+    beside the output.
     """
     arr = _checked_indices(indices, cfg)
-    values = _grid_values(_unflatten(arr, cfg.level_spec), cfg.level_spec.levels)  # (..., G, R, d)
-    acc = np.zeros(arr.shape[:-1] + (cfg.group_dim,))
-    for r in range(cfg.num_residuals):
-        q = values[..., r, :]
-        q = q if cfg._ups is None else _project(cfg._ups, q)
-        acc = acc + q
-    return acc.reshape(arr.shape[:-2] + (cfg.total_dim,))
+    blocks = arr.reshape(-1, cfg.num_groups, cfg.num_residuals)
+    out = np.zeros((len(blocks), cfg.num_groups, cfg.group_dim))
+    for s in range(0, len(blocks), _CHUNK):
+        codes = _unflatten(blocks[s : s + _CHUNK], cfg.level_spec)
+        values = _grid_values(codes, cfg.level_spec.levels)  # (chunk, G, R, d)
+        acc = out[s : s + _CHUNK]
+        for r in range(cfg.num_residuals):
+            q = values[:, :, r, :]
+            acc += q if cfg._ups is None else _project(cfg._ups, q)
+    return out.reshape(arr.shape[:-2] + (cfg.total_dim,))
 
 
 def _frames_array(frames, dim: int | None = None) -> np.ndarray:

@@ -1,0 +1,164 @@
+"""What `import grfsq` and each CLI command load.
+
+The package resolves its public names on first access, and the CLI imports
+`baselines`, `generation` and `csv` only inside the commands that run them,
+so a process compiles no module its command does not use. Import sets are
+read in a fresh interpreter, since this test process has loaded everything.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import grfsq
+
+# The names `grfsq/__init__.py` imported eagerly before it became lazy.
+EAGER_NAMES = {
+    "baselines": (
+        "BaselineConfig", "Codebook", "baseline_bitrate", "baseline_encode",
+        "baseline_utilization", "codebook_from_bytes", "codebook_to_bytes",
+        "fit_codebooks", "kmeans_fit",
+    ),
+    "bitstream": (
+        "MODE_FIXED_WIDTH", "MODE_MIXED_RADIX", "StreamHeader", "frame_bits",
+        "frame_block_bytes", "frame_pack", "frame_unpack", "read_stream", "write_stream",
+    ),
+    "errors": (
+        "ConfigMismatch", "CorruptStream", "DegenerateCalibration", "GrfsqError",
+        "InvalidCode", "InvalidConfig", "InvalidIndex", "InvalidInput",
+        "PredictorContractViolation", "TooLarge",
+    ),
+    "fsq": (
+        "ENUMERATION_CAP", "LevelSpec", "bound", "codes_to_index", "enumerate_codebook",
+        "fsq_dequantize", "fsq_quantize", "index_to_codes", "ste_gradient",
+    ),
+    "generation": (
+        "BigramPredictor", "ControlTrack", "EchoPredictor", "GenerationContext",
+        "Schedule", "SpeechTokenSeq", "UniformPredictor", "argmax_sample",
+        "assemble_context", "build_schedule", "generate", "load_controls",
+        "load_speech_tokens", "nll",
+    ),
+    "quantizer": (
+        "DEFAULT_FPS", "DEFAULT_GROUPS", "DEFAULT_LEVELS", "DEFAULT_RESIDUALS",
+        "GrfsqConfig", "ReconstructionReport", "UtilizationReport", "bitrate",
+        "calibrate_projections", "float_stream_bitrate", "grfsq_dequantize",
+        "grfsq_quantize", "quantize_sequence", "utilization",
+    ),
+}
+EAGER_PAIRS = [(module, name) for module, names in EAGER_NAMES.items() for name in names]
+
+# Each probe runs in a fresh interpreter as `python -c PROBE OUT ARGS...` and
+# writes every loaded module's name to OUT. This one imports the package.
+IMPORT_PROBE = """
+import json, sys
+import grfsq
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": 0, "modules": sorted(sys.modules)}, fh)
+"""
+# This one runs `python -m grfsq ARGS...` and records its exit code too.
+CLI_PROBE = """
+import json, runpy, sys
+out, sys.argv = sys.argv[1], ["grfsq"] + sys.argv[2:]
+code = 0
+try:
+    runpy.run_module("grfsq", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+with open(out, "w") as fh:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+"""
+SRC = Path(grfsq.__file__).resolve().parents[1]
+
+
+def loaded_modules(tmp_path, probe, *argv) -> set[str]:
+    """The modules a fresh interpreter running `probe` with ARGV has loaded,
+    once it has finished with exit code 0."""
+    out = tmp_path / "modules.json"
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    subprocess.run(
+        [sys.executable, "-c", probe, str(out), *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        check=True, capture_output=True, timeout=120,
+    )
+    record = json.loads(out.read_text())
+    assert record["code"] == 0, argv
+    return set(record["modules"])
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Small frames, speech tokens and control records for every command."""
+    frames = np.random.default_rng(5).uniform(-2, 2, size=(8, 48))
+    (tmp_path / "frames.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in frames.tolist())
+    )
+    (tmp_path / "speech.txt").write_text("1\n2\n3\n")
+    (tmp_path / "controls.jsonl").write_text(
+        '{"h": [0, 0, 0], "g": [0, 0], "b": [0, 0]}\n' * 3
+    )
+    return tmp_path
+
+
+class TestImportSets:
+    def test_import_grfsq_loads_no_submodule(self, tmp_path):
+        modules = loaded_modules(tmp_path, IMPORT_PROBE)
+        assert "grfsq" in modules
+        assert [m for m in modules if m.startswith("grfsq.")] == []
+
+    def test_help_encode_and_decode_load_neither_harness(self, inputs):
+        for argv in (
+            ["--help"],
+            ["encode", "frames.jsonl", "s.grfq", "--recon-out", "recon.jsonl"],
+            ["decode", "s.grfq", "decoded.jsonl"],
+        ):
+            modules = loaded_modules(inputs, CLI_PROBE, *argv)
+            assert "grfsq.cli" in modules and "grfsq._text" in modules, argv
+            assert not modules & {"grfsq.generation", "grfsq.baselines", "csv"}, argv
+
+    def test_schedule_sim_loads_no_baselines(self, inputs):
+        modules = loaded_modules(
+            inputs, CLI_PROBE, "schedule-sim", "--speech", "speech.txt",
+            "--controls", "controls.jsonl", "--out", "sim.grfq",
+        )
+        assert "grfsq.generation" in modules
+        assert "grfsq.baselines" not in modules
+
+    def test_ablate_loads_no_generation(self, inputs):
+        modules = loaded_modules(
+            inputs, CLI_PROBE, "ablate", "frames.jsonl", "--schemes", "vq,grfsq",
+            "--vq-k", "2", "--kmeans-iters", "1",
+        )
+        assert "grfsq.baselines" in modules
+        assert "grfsq.generation" not in modules
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("module, name", EAGER_PAIRS)
+    def test_public_name_is_its_modules_object(self, module, name):
+        namespace = {}
+        exec(f"from grfsq import {name}", namespace)
+        assert namespace[name] is getattr(importlib.import_module(f"grfsq.{module}"), name)
+        assert getattr(grfsq, name) is namespace[name] is grfsq.__getattr__(name)
+        assert name in grfsq.__all__
+        assert name in dir(grfsq)
+
+    def test_all_names_exactly_the_public_api(self):
+        assert sorted(grfsq.__all__) == sorted(name for _, name in EAGER_PAIRS)
+
+    @pytest.mark.parametrize("module", sorted(EAGER_NAMES))
+    def test_submodule_attribute(self, module):
+        submodule = importlib.import_module(f"grfsq.{module}")
+        assert getattr(grfsq, module) is submodule is grfsq.__getattr__(module)
+        assert module in dir(grfsq)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            grfsq.no_such_name
+        with pytest.raises(ImportError):
+            exec("from grfsq import no_such_name", {})

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from grfsq.errors import (
     InvalidInput,
 )
 from grfsq import quantizer
-from grfsq.fsq import LevelSpec, codes_to_index, enumerate_codebook, fsq_quantize
+from grfsq.fsq import (
+    LevelSpec, _grid_values, _unflatten, codes_to_index, enumerate_codebook, fsq_quantize,
+)
 from grfsq.quantizer import (
     DEFAULT_FPS,
     DEFAULT_GROUPS,
@@ -229,6 +232,45 @@ class TestDequantize:
     def test_two_residual_sum(self):
         cfg = GrfsqConfig(1, 2, LevelSpec((3,)), 1)
         assert grfsq_dequantize(np.array([[2, 1]]), cfg).tolist() == [1.0]
+
+    @staticmethod
+    def whole_array_dequantize(indices, cfg):
+        """The dequantizer before it went in blocks: grid values of every frame at once."""
+        arr = np.asarray(indices)
+        values = _grid_values(_unflatten(arr, cfg.level_spec), cfg.level_spec.levels)
+        acc = np.zeros(arr.shape[:-1] + (cfg.group_dim,))
+        for r in range(cfg.num_residuals):
+            q = values[..., r, :]
+            q = q if cfg._ups is None else quantizer._project(cfg._ups, q)
+            acc = acc + q
+        return acc.reshape(arr.shape[:-2] + (cfg.total_dim,))
+
+    @pytest.mark.parametrize("lead", [
+        (0,), (1,), (quantizer._CHUNK,), (2 * quantizer._CHUNK + 3,), (2, quantizer._CHUNK + 1),
+    ])
+    @pytest.mark.parametrize("projected", [False, True])
+    def test_blocks_match_whole_array_formula(self, lead, projected):
+        rng = np.random.default_rng(len(lead) * 1000 + lead[-1])
+        cfg = random_projected_config(rng) if projected else default_config()
+        shape = lead + (cfg.num_groups, cfg.num_residuals)
+        indices = rng.integers(0, cfg.codebook_size, size=shape)
+        got = grfsq_dequantize(indices, cfg)
+        want = self.whole_array_dequantize(indices, cfg)
+        assert got.shape == want.shape == lead + (cfg.total_dim,)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_memory_stays_near_the_output(self):
+        # the output, the checked copy of the indices and one block's
+        # temporaries; all frames at once peaked at about 13 times the output
+        cfg = default_config()
+        indices = np.random.default_rng(3).integers(0, cfg.codebook_size, size=(8000, 12, 4))
+        tracemalloc.start()
+        try:
+            out = grfsq_dequantize(indices, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + indices.nbytes + (4 << 20)
 
     def test_rejects_invalid_indices(self):
         cfg = default_config()
