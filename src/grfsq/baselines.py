@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import PCG64, seed_words
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidInput
 from .fsq import _checked_int, _checked_reals
 from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utilization
@@ -27,8 +28,8 @@ class Codebook:
 
     def __post_init__(self):
         arr = _checked_reals(self.entries, "codebook", InvalidConfig).copy()
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise InvalidConfig(f"codebook must be (k, dim) with k >= 1, got {arr.shape}")
+        if arr.ndim != 2 or min(arr.shape) < 1:
+            raise InvalidConfig(f"codebook must be (k, dim) with k, dim >= 1, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -99,8 +100,9 @@ def _gather(centers: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 def _draw(d2: np.ndarray, total: np.ndarray, rngs) -> np.ndarray:
     """One k-means++ pick per group: row i with probability d2[g, i] / total[g],
-    by `Generator.choice(n, p=...)`'s own arithmetic and its one uniform draw;
-    a uniform `integers(n)` pick where total is 0."""
+    by numpy `Generator.choice(n, p=...)`'s own arithmetic and its one uniform
+    `random()` draw; a uniform `integers(n)` pick where total is 0. The draws
+    come from each group's `_pcg64.PCG64`."""
     picks = np.empty(len(rngs), dtype=np.int64)
     live = np.flatnonzero(total > 0)
     cdf = np.cumsum(d2[live] / total[live, None], axis=1)
@@ -123,6 +125,11 @@ def _kmeans(
     centers equal those of a one-group run. The per-point distortion is
     computed only for the history or to reseed an empty cluster.
 
+    A group's generator is `_pcg64.PCG64(seed)`, the in-package PCG64 that
+    draws bit for bit what `numpy.random.default_rng(seed)` draws, so
+    codebooks do not depend on numpy's Generator stream policy and fitting
+    never imports numpy.random.
+
     k-means++ keeps the data coordinate-major, (d, G, n), and sums a
     distance over its d coordinate planes in order. Below 8 dims that is
     bit-equal to numpy's sum along a row; from 8 dims numpy sums a row
@@ -133,7 +140,7 @@ def _kmeans(
     G, n, dim = data.shape
     if k > n:
         raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = [PCG64(seed) for seed in seeds]
     rows = np.arange(G)
     coords = np.ascontiguousarray(data.transpose(2, 0, 1))
 
@@ -199,11 +206,6 @@ def kmeans_fit(data, k: int, iters: int, seed: int, return_history: bool = False
     return book
 
 
-def _codebook_seeds(seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(count)
-    return [int(s) for s in state]
-
-
 def _split_groups(frames, groups: int) -> np.ndarray:
     """Frames (T, D) as a fresh (groups, T, D / groups) array."""
     arr = _frames_array(frames)
@@ -218,10 +220,11 @@ def fit_codebooks(frames, cfg: BaselineConfig) -> list[list[Codebook]]:
 
     Residual stages are fit on the running residuals of the training data,
     stage by stage, exactly as encoding will see them. All groups of a
-    stage are fit at once; group g, stage r is seeded by seeds[g * R + r].
+    stage are fit at once; group g, stage r is seeded by word g * R + r of
+    `SeedSequence(cfg.seed).generate_state(G * R)`.
     """
     residual = _split_groups(frames, cfg.groups)
-    seeds = _codebook_seeds(cfg.seed, cfg.groups * cfg.residuals)
+    seeds = seed_words(cfg.seed, cfg.groups * cfg.residuals)
     stages = []
     for r in range(cfg.residuals):
         stage_seeds = seeds[r :: cfg.residuals]
@@ -265,12 +268,18 @@ def baseline_bitrate(cfg: BaselineConfig, fps: float) -> float:
 
 
 def codebook_to_bytes(book: Codebook) -> bytes:
-    """Serialize as a (k, dim) u32 header plus row-major f32 entries."""
-    head = struct.pack("<II", book.k, book.dim)
-    return head + book.entries.astype("<f4").tobytes()
+    """Serialize as a (k, dim) u32 header plus row-major f32 entries, or
+    `InvalidInput` when an entry rounds past float32, since such a blob
+    could not be read back."""
+    with np.errstate(over="ignore"):  # an overflowed entry is refused below
+        entries = book.entries.astype("<f4")
+    if not np.isfinite(entries).all():
+        raise InvalidInput("codebook entries exceed single precision")
+    return struct.pack("<II", book.k, book.dim) + entries.tobytes()
 
 
 def codebook_from_bytes(buf: bytes) -> Codebook:
+    """Read a `codebook_to_bytes` blob; any malformed blob is `CorruptStream`."""
     if len(buf) < 8:
         raise CorruptStream("codebook blob shorter than its header")
     k, dim = struct.unpack("<II", buf[:8])
@@ -278,4 +287,7 @@ def codebook_from_bytes(buf: bytes) -> Codebook:
     if len(buf) != expected:
         raise CorruptStream(f"codebook blob is {len(buf)} bytes, expected {expected}")
     entries = np.frombuffer(buf[8:], dtype="<f4").astype(np.float64).reshape(k, dim)
-    return Codebook(entries)
+    try:
+        return Codebook(entries)
+    except InvalidConfig as exc:
+        raise CorruptStream(f"invalid codebook: {exc}") from None

@@ -287,7 +287,7 @@ def cmd_ablate(args) -> int:
 
     # every scheme's flags are checked before the first codebook is fit
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
-    rows = []
+    rows, blobs = [], {}
     for scheme, cfg in zip(schemes, configs):
         if scheme == "grfsq":
             tokens, recon, _ = quantize_sequence(evaluate, cfg)
@@ -299,12 +299,9 @@ def cmd_ablate(args) -> int:
             util = baselines.baseline_utilization(tokens, cfg)
             bps = baselines.baseline_bitrate(cfg, args.fps)
             if args.save_codebooks:
-                os.makedirs(args.save_codebooks, exist_ok=True)
                 for g, row_books in enumerate(books):
                     for r, book in enumerate(row_books):
-                        name = f"{scheme}_g{g}_r{r}.codebook"
-                        with open(os.path.join(args.save_codebooks, name), "wb") as fh:
-                            fh.write(baselines.codebook_to_bytes(book))
+                        blobs[f"{scheme}_g{g}_r{r}.codebook"] = baselines.codebook_to_bytes(book)
         groups, residuals = tokens.shape[1:]
         rows.append(
             {
@@ -317,6 +314,12 @@ def cmd_ablate(args) -> int:
                 "utilization_mean_percent": util.mean_percent,
             }
         )
+    # every blob is serialized before the first is written, so a refused one writes none
+    if blobs:
+        os.makedirs(args.save_codebooks, exist_ok=True)
+    for name, blob in blobs.items():
+        with open(os.path.join(args.save_codebooks, name), "wb") as fh:
+            fh.write(blob)
 
     if args.format == "csv":
         import csv

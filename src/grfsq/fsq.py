@@ -119,8 +119,9 @@ def _checked_int(value, what: str, error: type[Exception], low: int = 0, high=No
 
 
 def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray:
-    """The one rule for codes, indices and tokens: `values` as a fresh int64
-    array, or `error`. An empty array passes; otherwise the dtype must be
+    """The one rule for codes, indices and tokens: `values` as an int64 array
+    (the input itself when it already is one; a caller that keeps it copies
+    it), or `error`. An empty array passes; otherwise the dtype must be
     integer (not bool) or float with only finite whole numbers, and every
     value must lie in [0, high), `high` broadcast against the values."""
     arr = np.asarray(values)
@@ -132,7 +133,7 @@ def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray
             raise error(f"{what} must be integers")
         if arr.min() < 0 or np.any(arr >= high):
             raise error(f"{what} must lie in [0, {high})")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _checked_codes(codes, spec: LevelSpec) -> np.ndarray:

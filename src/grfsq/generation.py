@@ -41,7 +41,7 @@ class SpeechTokenSeq:
         if arr.ndim != 1:
             raise InvalidInput(f"tokens must be 1-D, got shape {arr.shape}")
         object.__setattr__(self, "vocab", _checked_vocab(self.vocab))
-        arr = _checked_ints(arr, self.vocab, "tokens", InvalidInput)
+        arr = _checked_ints(arr, self.vocab, "tokens", InvalidInput).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "tokens", arr)
 
@@ -135,7 +135,7 @@ def assemble_context(
         prev = np.asarray(prev_tokens)
         if prev.ndim != 2 or prev.shape[0] != T:
             raise InvalidInput(f"prev_tokens must have shape ({T}, groups), got {prev.shape}")
-        prev = _checked_ints(prev, np.iinfo(np.int64).max, "prev_tokens", InvalidInput)
+        prev = _checked_ints(prev, np.iinfo(np.int64).max, "prev_tokens", InvalidInput).copy()
         if num_groups is not None and prev.shape[1] != num_groups:
             raise InvalidInput(
                 f"prev_tokens have {prev.shape[1]} groups, expected {num_groups}"
@@ -186,7 +186,7 @@ class RowGrid:
             raise InvalidInput(
                 f"row grid needs (P, C) rows and (T, G) indices, got {rows.shape}, {which.shape}"
             )
-        which = _checked_ints(which, rows.shape[0], "row indices", InvalidInput)
+        which = _checked_ints(which, rows.shape[0], "row indices", InvalidInput).copy()
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "which", which)
 
@@ -340,7 +340,7 @@ class EchoPredictor:
         high = np.iinfo(np.int64).max
         if num_classes is not None:
             high = _checked_int(num_classes, "num_classes", InvalidInput, low=1)
-        self.target = _checked_ints(arr, high, "targets", InvalidInput)
+        self.target = _checked_ints(arr, high, "targets", InvalidInput).copy()
         self.num_classes = int(self.target.max(initial=0)) + 1 if num_classes is None else high
 
     def __call__(self, context: GenerationContext) -> np.ndarray:
@@ -381,7 +381,7 @@ class BigramPredictor:
         if len(speech) != T:
             raise InvalidInput(f"speech covers {len(speech)} frames, targets cover {T}")
         model = cls(num_classes, R)
-        model._targets = _checked_ints(arr, model.num_classes, "targets", InvalidInput)
+        model._targets = _checked_ints(arr, model.num_classes, "targets", InvalidInput).copy()
         model._speech = speech.tokens
         return model
 

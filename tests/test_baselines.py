@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from grfsq.baselines import (
     fit_codebooks,
     kmeans_fit,
 )
-from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig
+from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidInput
 
 
 def two_blobs(n_per=200, seed=30):
@@ -49,6 +51,10 @@ class TestBaselineConfig:
             Codebook(np.array([[np.nan, 0.0]]))
         with pytest.raises(InvalidConfig):
             Codebook(np.zeros((0, 3)))
+
+    def test_codebook_needs_a_dimension(self):
+        with pytest.raises(InvalidConfig, match="dim >= 1"):
+            Codebook(np.zeros((2, 0)))
 
 
 class TestKmeans:
@@ -227,3 +233,27 @@ class TestSerialization:
         blob = codebook_to_bytes(Codebook(np.zeros((2, 2))))
         with pytest.raises(CorruptStream):
             codebook_from_bytes(blob[:-1])
+
+    @pytest.mark.parametrize("k, dim, entries", [
+        (0, 3, []),
+        (0, 2**32 - 1, []),
+        (2, 0, []),
+        (1, 2, [np.nan, 0.0]),
+        (1, 2, [0.0, np.inf]),
+        (2, 1, [0.0, -np.inf]),
+    ], ids=["no-entries", "no-entries-wide", "no-dimensions", "nan", "inf", "-inf"])
+    def test_blob_a_codebook_refuses_is_corrupt(self, k, dim, entries):
+        blob = struct.pack("<II", k, dim) + np.array(entries, dtype="<f4").tobytes()
+        with pytest.raises(CorruptStream, match="invalid codebook"):
+            codebook_from_bytes(blob)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 2.0**128, np.finfo(np.float64).max])
+    def test_entries_past_single_precision_are_refused(self, value):
+        with pytest.raises(InvalidInput, match="single precision"):
+            codebook_to_bytes(Codebook(np.array([[0.0, value]])))
+
+    def test_largest_single_precision_entries_round_trip(self):
+        top = float(np.finfo(np.float32).max)
+        entries = np.array([[top, -top], [0.0, 1.0]])
+        book = codebook_from_bytes(codebook_to_bytes(Codebook(entries)))
+        assert np.array_equal(book.entries, entries)

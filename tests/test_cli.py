@@ -462,6 +462,20 @@ class TestAblate:
         assert stdout == ""
         assert not out_dir.exists()
 
+    def test_save_codebooks_refuses_entries_past_single_precision(self, tmp_path, capsys):
+        # group 0's codebook fits float32 and group 1's does not: neither is written
+        frames = np.random.default_rng(76).uniform(1, 2, size=(40, 8)) * np.repeat([1.0, 1e39], 4)
+        path, out_dir = tmp_path / "huge.jsonl", tmp_path / "books"
+        write_jsonl_frames(path, frames)
+        code, stdout, stderr = run(
+            capsys, "ablate", str(path), "--schemes", "gvq", "--gvq-groups", "2",
+            "--gvq-k", "4", "--kmeans-iters", "2", "--save-codebooks", str(out_dir),
+        )
+        assert code == 2, stderr
+        assert stdout == ""
+        assert "single precision" in stderr and "Warning" not in stderr
+        assert not out_dir.exists()
+
     def test_holdout_split(self, capsys, frames12):
         code, stdout, _ = run(
             capsys, "ablate", str(frames12), "--schemes", "vq", "--vq-k", "8",

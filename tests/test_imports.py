@@ -2,8 +2,11 @@
 
 The package resolves its public names on first access, and the CLI imports
 `baselines`, `generation` and `csv` only inside the commands that run them,
-so a process compiles no module its command does not use. Import sets are
-read in a fresh interpreter, since this test process has loaded everything.
+so a process compiles no module its command does not use. The k-means
+baselines draw from the in-package `_pcg64`, so no command loads numpy.random
+(nor the `secrets`, `hashlib` and OpenSSL modules it pulls in). Import sets
+are read in a fresh interpreter, since this test process has loaded
+everything.
 """
 
 import importlib
@@ -52,6 +55,8 @@ EAGER_NAMES = {
     ),
 }
 EAGER_PAIRS = [(module, name) for module, names in EAGER_NAMES.items() for name in names]
+# loaded by the first numpy.random Generator; no command needs them
+RANDOM_MODULES = {"numpy.random", "secrets", "_hashlib"}
 
 # Each probe runs in a fresh interpreter as `python -c PROBE OUT ARGS...` and
 # writes every loaded module's name to OUT. This one imports the package.
@@ -110,6 +115,7 @@ class TestImportSets:
         modules = loaded_modules(tmp_path, IMPORT_PROBE)
         assert "grfsq" in modules
         assert [m for m in modules if m.startswith("grfsq.")] == []
+        assert not modules & RANDOM_MODULES
 
     def test_help_encode_and_decode_load_neither_harness(self, inputs):
         for argv in (
@@ -120,6 +126,7 @@ class TestImportSets:
             modules = loaded_modules(inputs, CLI_PROBE, *argv)
             assert "grfsq.cli" in modules and "grfsq._text" in modules, argv
             assert not modules & {"grfsq.generation", "grfsq.baselines", "csv"}, argv
+            assert not modules & ({"grfsq._pcg64"} | RANDOM_MODULES), argv
 
     def test_schedule_sim_loads_no_baselines(self, inputs):
         modules = loaded_modules(
@@ -127,15 +134,17 @@ class TestImportSets:
             "--controls", "controls.jsonl", "--out", "sim.grfq",
         )
         assert "grfsq.generation" in modules
-        assert "grfsq.baselines" not in modules
+        assert not modules & ({"grfsq.baselines", "grfsq._pcg64"} | RANDOM_MODULES)
 
     def test_ablate_loads_no_generation(self, inputs):
         modules = loaded_modules(
-            inputs, CLI_PROBE, "ablate", "frames.jsonl", "--schemes", "vq,grfsq",
-            "--vq-k", "2", "--kmeans-iters", "1",
+            inputs, CLI_PROBE, "ablate", "frames.jsonl", "--schemes", "vq,gvq,rvq,grvq,grfsq",
+            "--vq-k", "2", "--gvq-groups", "2", "--gvq-k", "2", "--rvq-residuals", "2",
+            "--rvq-k", "2", "--grvq-groups", "2", "--grvq-residuals", "2", "--grvq-k", "2",
+            "--kmeans-iters", "1", "--save-codebooks", "books",
         )
-        assert "grfsq.baselines" in modules
-        assert "grfsq.generation" not in modules
+        assert {"grfsq.baselines", "grfsq._pcg64"} <= modules
+        assert not modules & ({"grfsq.generation"} | RANDOM_MODULES)
 
 
 class TestLazyPackage:

@@ -18,6 +18,7 @@ from grfsq.generation import (
     EchoPredictor,
     RowGrid,
     SpeechTokenSeq,
+    assemble_context,
     generate,
     nll,
 )
@@ -83,13 +84,18 @@ def site(name):
 
 
 class TestCheckedInts:
-    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
     def test_integer_dtypes_pass_as_a_fresh_int64_array(self, dtype):
         values = np.array([0, 3, 1], dtype=dtype)
         out = _checked_ints(values, 4, "x", InvalidIndex)
         assert out.dtype == np.int64 and out.tolist() == [0, 3, 1]
         out[0] = 2
         assert values[0] == 0
+
+    def test_int64_passes_without_a_copy(self):
+        values = np.array([0, 3, 1], dtype=np.int64)
+        out = _checked_ints(values, 4, "x", InvalidIndex)
+        assert out is values
 
     def test_whole_floats_pass(self):
         assert _checked_ints([0.0, -0.0, 3.0], 4, "x", InvalidIndex).tolist() == [0, 0, 3]
@@ -169,3 +175,41 @@ class TestEchoTargets:
                 EchoPredictor(np.array(bad).reshape(1, 1, 1))
         assert EchoPredictor(np.array([2.0]).reshape(1, 1, 1)).num_classes == 3
         assert EchoPredictor(np.zeros((0, 1, 1))).num_classes == 1
+
+
+class TestKeptIndexArrays:
+    """`_checked_ints` returns int64 input itself, so each holder of a checked
+    array keeps its own copy: writing to the input afterwards changes nothing."""
+
+    def test_speech_tokens(self):
+        tokens = np.array([0, 1, 2, 3])
+        seq = SpeechTokenSeq(tokens, vocab=4)
+        tokens[:] = 3
+        assert seq.tokens.tolist() == [0, 1, 2, 3] and not seq.tokens.flags.writeable
+        assert tokens.flags.writeable
+
+    def test_context_previous_tokens(self):
+        T = len(TOKENS)
+        prev = TOKENS[:, :, 0].copy()
+        controls = ControlTrack(np.zeros((T, 3)), np.zeros((T, 2)), np.zeros((T, 2)))
+        context = assemble_context(np.zeros(0), 1, speech(T), controls, prev_tokens=prev)
+        prev[:] = 2
+        assert np.array_equal(context.prev_layer_tokens, TOKENS[:, :, 0])
+        assert np.array_equal(context.framewise[:, -G:], TOKENS[:, :, 0])
+
+    def test_row_grid_rows(self):
+        which = TOKENS[:, :, 0].copy()
+        grid = RowGrid(np.eye(2, C), which)
+        which[:] = 0
+        assert np.array_equal(grid.which, TOKENS[:, :, 0])
+
+    @pytest.mark.parametrize("make", [
+        lambda a: EchoPredictor(a, C),
+        lambda a: BigramPredictor.fit(a, speech(len(a)), C),
+    ], ids=["EchoPredictor", "BigramPredictor.fit"])
+    def test_predictor_targets(self, make):
+        targets = TOKENS.copy()
+        predictor = make(targets)
+        want = run_generate(predictor, len(targets))
+        targets[:] = 2
+        assert np.array_equal(run_generate(predictor, len(targets)), want)

@@ -272,6 +272,19 @@ class TestDequantize:
             tracemalloc.stop()
         assert peak < out.nbytes + indices.nbytes + (4 << 20)
 
+    def test_int64_indices_are_not_copied(self):
+        # int64 indices are checked in place: 20 000 frames once peaked at
+        # 16.3 MiB, the output plus a 7.3 MiB copy of the indices plus temporaries
+        cfg = default_config()
+        indices = np.random.default_rng(3).integers(0, cfg.codebook_size, size=(20000, 12, 4))
+        tracemalloc.start()
+        try:
+            out = grfsq_dequantize(indices, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + indices.nbytes // 2
+
     def test_rejects_invalid_indices(self):
         cfg = default_config()
         bad = np.zeros((12, 4), dtype=np.int64)
