@@ -428,6 +428,26 @@ class TestAblate:
         assert code == 3
         assert "magvit" in stderr
 
+    @pytest.mark.parametrize("schemes", ["vq,vq", "grfsq,vq,GRFSQ"])
+    def test_repeated_scheme_exits_3_before_fitting(
+        self, tmp_path, capsys, monkeypatch, frames12, schemes
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit for a repeated scheme list")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        out_dir = tmp_path / "books"
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, "--schemes", schemes,
+                                      "--save-codebooks", str(out_dir))
+        )
+        assert code == 3, stderr
+        assert stdout == ""
+        assert "twice" in stderr
+        assert not out_dir.exists()
+
     def test_save_codebooks(self, tmp_path, capsys, frames12):
         out_dir = tmp_path / "books"
         code, _, _ = run(

@@ -9,6 +9,7 @@ are read in a fresh interpreter, since this test process has loaded
 everything.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -66,17 +67,21 @@ import grfsq
 with open(sys.argv[1], "w") as fh:
     json.dump({"code": 0, "modules": sorted(sys.modules)}, fh)
 """
-# This one runs `python -m grfsq ARGS...` and records its exit code too.
+# This one runs `python -m grfsq ARGS...` and records its exit code too. The
+# CLI ends its process with `os._exit`, so the probe writes its record from a
+# wrapper around it, then exits through the real one.
 CLI_PROBE = """
-import json, runpy, sys
+import json, os, runpy, sys
 out, sys.argv = sys.argv[1], ["grfsq"] + sys.argv[2:]
-code = 0
-try:
-    runpy.run_module("grfsq", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    code = exc.code
-with open(out, "w") as fh:
-    json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+real_exit = os._exit
+
+def record_and_exit(code):
+    with open(out, "w") as fh:
+        json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+    real_exit(code)
+
+os._exit = record_and_exit
+runpy.run_module("grfsq", run_name="__main__", alter_sys=True)
 """
 SRC = Path(grfsq.__file__).resolve().parents[1]
 
@@ -145,6 +150,24 @@ class TestImportSets:
         )
         assert {"grfsq.baselines", "grfsq._pcg64"} <= modules
         assert not modules & ({"grfsq.generation"} | RANDOM_MODULES)
+
+
+class TestEntryPoints:
+    def test_every_entry_point_goes_through_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        from grfsq import cli
+
+        pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+        assert pyproject["project"]["scripts"] == {"grfsq": "grfsq.cli:run"}
+        package = SRC / "grfsq"
+        main_module = ast.parse((package / "__main__.py").read_text())
+        assert ast.unparse(main_module) == "from .cli import run\nrun()"
+        guards = [
+            node for node in ast.parse((package / "cli.py").read_text()).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(guard) for guard in guards] == ["if __name__ == '__main__':\n    run()"]
+        assert callable(cli.run)
 
 
 class TestLazyPackage:
