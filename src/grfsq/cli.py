@@ -400,8 +400,15 @@ def cmd_schedule_sim(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed help or usage write; raised, `run` exits 4
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grfsq", description="Group-residual FSQ motion codec"
     )
     sub = parser.add_subparsers(dest="command", required=True)

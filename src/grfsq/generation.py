@@ -84,10 +84,6 @@ class GenerationContext:
     framewise: np.ndarray  # (T, 1 + 3 + 2 + 2 + num_groups)
     prev_layer_tokens: np.ndarray  # (T, num_groups)
 
-    @property
-    def num_frames(self) -> int:
-        return self.framewise.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class LayerPass:
@@ -180,7 +176,7 @@ class RowGrid:
     ndim = 3
 
     def __post_init__(self):
-        rows = _real_array(self.rows, "row grid rows", InvalidInput)
+        rows = _real_array(self.rows, "row grid rows", InvalidInput).copy()
         which = np.asarray(self.which)
         if rows.ndim != 2 or which.ndim != 2:
             raise InvalidInput(

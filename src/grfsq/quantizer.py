@@ -33,7 +33,7 @@ DEFAULT_LEVELS = (5, 5, 5, 5)
 DEFAULT_FPS = 25.0
 
 _ORTHO_TOL = 1e-5  # projections are stored at single precision
-_CHUNK = 256  # frames per batched encode; bounds the (R, chunk, D) partials
+_CHUNK = 256  # frames per batched encode or decode; bounds their temporaries
 
 
 def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
@@ -132,63 +132,68 @@ def _project(stacked: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(stacked, v[..., None])[..., 0]
 
 
-def _encode(arr: np.ndarray, cfg: GrfsqConfig):
-    """Frames (T, D) through the group/residual recursion, all rows at once.
+def _stage_values(codes, cfg: GrfsqConfig) -> np.ndarray:
+    """One residual stage's contribution (..., G, group_dim) from its codes
+    (..., G, d). The encoder and the decoder both build every stage here, so
+    a decode is bit-equal to the encoder's reconstruction."""
+    values = _grid_values(codes, cfg.level_spec.levels)
+    return values if cfg._ups is None else _project(cfg._ups, values)
 
-    Returns (indices (T, G, R), partials (R, T, D)) where partials[r] is the
-    reconstruction truncated to the first r+1 residual stages.
+
+def _encode(arr: np.ndarray, cfg: GrfsqConfig):
+    """Frames (T, D) through the group/residual recursion, `_CHUNK` rows at a time.
+
+    Returns (indices (T, G, R), reconstruction (T, D), squared error (R,)),
+    where error r sums over the reconstruction truncated to stages 0..r.
     """
-    T = arr.shape[0]
     levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
-    residual = arr.reshape(T, cfg.num_groups, cfg.group_dim)
-    acc = np.zeros_like(residual)
-    indices = np.empty((T, cfg.num_groups, cfg.num_residuals), dtype=np.int64)
-    partials = np.empty((cfg.num_residuals, T, cfg.total_dim), dtype=np.float64)
-    for r in range(cfg.num_residuals):
-        z = residual if cfg.projections is None else _project(cfg.projections, residual)
-        codes = _nearest_codes(np.tanh(z), levels)
-        values = _grid_values(codes, levels)
-        q = values if cfg._ups is None else _project(cfg._ups, values)
-        acc = acc + q
-        residual = residual - q
-        indices[:, :, r] = _flatten(codes, cfg.level_spec)
-        partials[r] = acc.reshape(T, cfg.total_dim)
-    return indices, partials
+    # C order, so each squared-error sum runs in one order for any input layout
+    frames = np.ascontiguousarray(arr).reshape(len(arr), cfg.num_groups, cfg.group_dim)
+    indices = np.empty(frames.shape[:2] + (cfg.num_residuals,), dtype=np.int64)
+    recon = np.zeros_like(frames)
+    sq_err = np.zeros(cfg.num_residuals)
+    for s in range(0, len(frames), _CHUNK):
+        chunk = residual = frames[s : s + _CHUNK]
+        acc = recon[s : s + _CHUNK]
+        for r in range(cfg.num_residuals):
+            z = residual if cfg.projections is None else _project(cfg.projections, residual)
+            codes = _nearest_codes(np.tanh(z), levels)
+            q = _stage_values(codes, cfg)
+            acc += q
+            residual = residual - q
+            indices[s : s + _CHUNK, :, r] = _flatten(codes, cfg.level_spec)
+            with np.errstate(over="ignore"):  # quantize_sequence refuses an overflow
+                sq_err[r] += ((chunk - acc) ** 2).sum()
+    return indices, recon.reshape(len(arr), cfg.total_dim), sq_err
 
 
 def grfsq_quantize(x, cfg: GrfsqConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quantize one frame; returns (reconstruction, indices of shape (G, R))."""
     xv = _finite_vector(x, cfg.total_dim, name="frame")
-    indices, partials = _encode(xv[None], cfg)
-    return partials[-1, 0], indices[0]
-
-
-def _checked_indices(indices, cfg: GrfsqConfig) -> np.ndarray:
-    arr = np.asarray(indices)
-    block = (cfg.num_groups, cfg.num_residuals)
-    if arr.shape[-2:] != block:
-        raise InvalidIndex(f"expected index shape (..., {block[0]}, {block[1]}), got {arr.shape}")
-    return _checked_ints(arr, cfg.codebook_size, "indices", InvalidIndex)
+    indices, recon, _ = _encode(xv[None], cfg)
+    return recon[0], indices[0]
 
 
 def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
     """Rebuild frames (..., D) from index blocks (..., G, R).
 
-    Stages accumulate in the same order as the quantizer, so the result is
-    bit-equal to the reconstruction returned there. Blocks go `_CHUNK`
-    frames at a time, so the grid values and their temporaries stay small
-    beside the output.
+    Each stage is built by the quantizer's own stage function and added in
+    the quantizer's order, so the result is bit-equal to the reconstruction
+    returned there. Blocks go `_CHUNK` frames at a time, so the codes and
+    their temporaries stay small beside the output.
     """
-    arr = _checked_indices(indices, cfg)
-    blocks = arr.reshape(-1, cfg.num_groups, cfg.num_residuals)
+    arr = np.asarray(indices)
+    block = (cfg.num_groups, cfg.num_residuals)
+    if arr.shape[-2:] != block:
+        raise InvalidIndex(f"expected index shape (..., {block[0]}, {block[1]}), got {arr.shape}")
+    arr = _checked_ints(arr, cfg.codebook_size, "indices", InvalidIndex)
+    blocks = arr.reshape((-1,) + block)
     out = np.zeros((len(blocks), cfg.num_groups, cfg.group_dim))
     for s in range(0, len(blocks), _CHUNK):
-        codes = _unflatten(blocks[s : s + _CHUNK], cfg.level_spec)
-        values = _grid_values(codes, cfg.level_spec.levels)  # (chunk, G, R, d)
+        codes = _unflatten(blocks[s : s + _CHUNK], cfg.level_spec)  # (chunk, G, R, d)
         acc = out[s : s + _CHUNK]
         for r in range(cfg.num_residuals):
-            q = values[:, :, r, :]
-            acc += q if cfg._ups is None else _project(cfg._ups, q)
+            acc += _stage_values(codes[:, :, r], cfg)
     return out.reshape(arr.shape[:-2] + (cfg.total_dim,))
 
 
@@ -210,23 +215,13 @@ def quantize_sequence(
     is bit-equal to a single-frame :func:`grfsq_quantize` call.
     """
     arr = _frames_array(frames, cfg.total_dim)
-    T, D = arr.shape
-    indices = np.empty((T, cfg.num_groups, cfg.num_residuals), dtype=np.int64)
-    recon = np.empty((T, D), dtype=np.float64)
-    sq_err_by_stage = np.zeros(cfg.num_residuals)
-    for s in range(0, T, _CHUNK):
-        chunk = arr[s : s + _CHUNK]
-        idx, partials = _encode(chunk, cfg)
-        indices[s : s + _CHUNK] = idx
-        recon[s : s + _CHUNK] = partials[-1]
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            sq_err_by_stage += ((chunk - partials) ** 2).sum(axis=(1, 2))
+    indices, recon, sq_err_by_stage = _encode(arr, cfg)
     _refuse_overflow(sq_err_by_stage)
 
     per_frame, mean = _frame_rmse(arr, recon)
     report = ReconstructionReport(
         per_frame_rmse=per_frame,
-        cumulative_rmse_by_residual=np.sqrt(sq_err_by_stage / max(T * D, 1)),
+        cumulative_rmse_by_residual=np.sqrt(sq_err_by_stage / max(arr.size, 1)),
         mean_rmse=mean,
     )
     return indices, recon, report

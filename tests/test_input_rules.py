@@ -231,6 +231,24 @@ class TestRowGridRows:
             with pytest.raises(InvalidInput, match="row grid rows .*" + message):
                 RowGrid(damage(self.ROWS.copy()), self.WHICH)
 
+    def test_rows_are_copied(self):
+        rows = np.full((1, 2), 0.5)
+        grid = RowGrid(rows, np.zeros((2, 1), dtype=int))
+        rows[0] = [1.0, 0.0]
+        assert grid.rows.tolist() == [[0.5, 0.5]]
+
+    def test_size_builds_no_dense_grid(self, monkeypatch):
+        """perfbench's tracer counts a predictor's cells with `np.size`;
+        without `size`, numpy would build the dense (T, G, C) grid to count
+        them."""
+        grid = RowGrid(self.ROWS, self.WHICH)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("np.size built the dense grid")
+
+        monkeypatch.setattr(RowGrid, "__array__", dense)
+        assert np.size(grid) == T * G * 3
+
     def test_a_predictor_building_ragged_rows_gets_the_typed_error(self):
         def predictor(context):
             return RowGrid([[0.5, 0.5], [1.0]], np.zeros((T, G), dtype=int))

@@ -43,18 +43,20 @@ OUTCOMES = {
 }
 
 
-def process_env() -> dict:
+def process_env(unbuffered: bool = False) -> dict:
     path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), COLUMNS=COLUMNS)
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as when redirected by default
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
-def run_process(cwd, argv, **streams) -> subprocess.CompletedProcess:
+def run_process(cwd, argv, unbuffered=False, **streams) -> subprocess.CompletedProcess:
     streams = streams or {"capture_output": True}
     return subprocess.run(
-        [sys.executable, "-m", "grfsq", *argv], cwd=cwd, env=process_env(), timeout=120,
-        **streams,
+        [sys.executable, "-m", "grfsq", *argv], cwd=cwd, env=process_env(unbuffered),
+        timeout=120, **streams,
     )
 
 
@@ -109,21 +111,39 @@ NO_SPACE = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n".encode
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 class TestFailedWrite:
-    """A stream the process cannot write ends in exit 4, not Python's 120."""
+    """A stream the process cannot write ends in exit 4, not Python's 120.
+    Block-buffered, the write that fails is `run`'s flush."""
+
+    unbuffered = False
 
     @pytest.mark.parametrize("argv", [["decode", "s.grfq", "decoded.jsonl"], ["--help"]])
     def test_stdout(self, inputs, tmp_path, argv):
         shutil.copytree(inputs, tmp_path, dirs_exist_ok=True)
         with open("/dev/full", "wb") as full:
-            proc = run_process(tmp_path, argv, stdout=full, stderr=subprocess.PIPE)
+            proc = run_process(
+                tmp_path, argv, self.unbuffered, stdout=full, stderr=subprocess.PIPE
+            )
         assert proc.returncode == 4
         assert proc.stderr == NO_SPACE  # no "Exception ignored", no traceback
 
     def test_stderr(self, inputs):
+        self.check_stderr(inputs, ["decode", "missing.grfq", "decoded.jsonl"])
+
+    def test_usage_error(self, inputs):
+        self.check_stderr(inputs, ["encode", "frames.jsonl"])
+
+    def check_stderr(self, inputs, argv):
         with open("/dev/full", "wb") as full:
             proc = run_process(
-                inputs, ["decode", "missing.grfq", "decoded.jsonl"],
-                stdout=subprocess.PIPE, stderr=full,
+                inputs, argv, self.unbuffered, stdout=subprocess.PIPE, stderr=full
             )
         assert proc.returncode == 4
         assert proc.stdout == b""
+
+
+class TestFailedUnbufferedWrite(TestFailedWrite):
+    """The same outcomes with `PYTHONUNBUFFERED=1`, where each write fails
+    at once: argparse's help and usage writes too, which argparse itself
+    would drop."""
+
+    unbuffered = True

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grfsq.errors import (
     ConfigMismatch,
@@ -13,7 +15,8 @@ from grfsq.errors import (
 )
 from grfsq import quantizer
 from grfsq.fsq import (
-    LevelSpec, _grid_values, _unflatten, codes_to_index, enumerate_codebook, fsq_quantize,
+    LevelSpec, _grid_values, _nearest_codes, _unflatten, codes_to_index, enumerate_codebook,
+    fsq_quantize,
 )
 from grfsq.quantizer import (
     DEFAULT_FPS,
@@ -37,12 +40,15 @@ def default_config() -> GrfsqConfig:
     return GrfsqConfig(DEFAULT_GROUPS, DEFAULT_RESIDUALS, SPEC5x4, SPEC5x4.d)
 
 
-def random_projected_config(rng, groups=3, residuals=2, d=2, group_dim=5) -> GrfsqConfig:
+def random_projected_config(
+    rng, groups=3, residuals=2, d=2, group_dim=5, levels=None
+) -> GrfsqConfig:
     downs = []
     for _ in range(groups):
         q, _ = np.linalg.qr(rng.normal(size=(group_dim, group_dim)))
         downs.append(q[:, :d].T.astype(np.float32).astype(np.float64))
-    return GrfsqConfig(groups, residuals, LevelSpec((5,) * d), group_dim, tuple(downs))
+    spec = LevelSpec((5,) * d if levels is None else levels)
+    return GrfsqConfig(groups, residuals, spec, group_dim, tuple(downs))
 
 
 def reference_walk(x, cfg):
@@ -367,6 +373,65 @@ class TestQuantizeSequence:
             quantize_sequence([[0.0] * 48, [0.0] * 47], cfg)
         with pytest.raises(ConfigMismatch):
             quantize_sequence(np.zeros((3, 12)), cfg)
+
+
+def old_encode(frames, cfg):
+    """The encoder before the stage function, as a reference: its own grid
+    and up-projection loop per chunk, every truncated reconstruction kept as
+    partials (R, chunk, D), and the stage errors summed from the partials.
+    Returns (reconstruction, cumulative RMSE by stage)."""
+    levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
+    project = quantizer._project
+    recon = np.empty_like(frames)
+    sq_err = np.zeros(cfg.num_residuals)
+    for s in range(0, len(frames), quantizer._CHUNK):
+        chunk = frames[s : s + quantizer._CHUNK]
+        residual = chunk.reshape(len(chunk), cfg.num_groups, cfg.group_dim)
+        acc = np.zeros_like(residual)
+        partials = np.empty((cfg.num_residuals,) + chunk.shape)
+        for r in range(cfg.num_residuals):
+            z = residual if cfg.projections is None else project(cfg.projections, residual)
+            values = _grid_values(_nearest_codes(np.tanh(z), levels), levels)
+            q = values if cfg._ups is None else project(cfg._ups, values)
+            acc = acc + q
+            residual = residual - q
+            partials[r] = acc.reshape(chunk.shape)
+        recon[s : s + quantizer._CHUNK] = partials[-1]
+        sq_err += ((chunk - partials) ** 2).sum(axis=(1, 2))
+    return recon, np.sqrt(sq_err / max(frames.size, 1))
+
+
+@st.composite
+def encoder_cases(draw):
+    """A config, with or without projections, and frames whose count may
+    cross the encoder's and decoder's `_CHUNK` seams."""
+    levels = draw(st.lists(st.sampled_from([2, 3, 4, 5, 8, 255]), min_size=1, max_size=3))
+    groups, residuals = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = len(levels)
+    if draw(st.booleans()):
+        group_dim = d + draw(st.integers(0, 3))
+        cfg = random_projected_config(rng, groups, residuals, d, group_dim, levels)
+    else:
+        cfg = GrfsqConfig(groups, residuals, LevelSpec(levels), d)
+    c = quantizer._CHUNK
+    T = draw(st.sampled_from([0, 1, c - 1, c, c + 1, 2 * c + 3]))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    return cfg, rng.normal(0.0, scale, size=(T, cfg.total_dim))
+
+
+class TestStageFunction:
+    """The encoder and the decoder build each stage with one function."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(encoder_cases())
+    def test_decode_and_stage_errors_match_the_partials(self, case):
+        cfg, frames = case
+        tokens, recon, report = quantize_sequence(frames, cfg)
+        want_recon, want_rmse = old_encode(frames, cfg)
+        assert recon.tobytes() == want_recon.tobytes()
+        assert grfsq_dequantize(tokens, cfg).tobytes() == recon.tobytes()
+        assert report.cumulative_rmse_by_residual.tobytes() == want_rmse.tobytes()
 
 
 class TestCalibration:

@@ -1,6 +1,8 @@
 """Refusal paths no other test reaches: each call below ends in its typed
 error, its exit code or its documented result."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -43,6 +45,16 @@ def ablate_gvq_5_groups_on_48_wide_frames(tmp_path):
     path = tmp_path / "frames.jsonl"
     path.write_text("".join(json.dumps([0.5] * 48) + "\n" for _ in range(8)))
     return main(["ablate", str(path), "--schemes", "gvq", "--gvq-groups", "5", "--gvq-k", "2"])
+
+
+def encode_levels_past_a_byte(tmp_path):
+    path = tmp_path / "frames.jsonl"
+    path.write_text("".join(json.dumps([0.5] * 48) + "\n" for _ in range(4)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["encode", str(path), str(tmp_path / "x.grfq"), "--groups", "24",
+                     "--levels", "256,2"])
+    return code, err.getvalue()
 
 
 def controls_with_blank_lines(tmp_path):
@@ -121,6 +133,9 @@ CASES = {
     ),
     "GrfsqConfig == non-config": (lambda _: CFG == "config", False, None),
     "ablate gvq groups not dividing the width": (ablate_gvq_5_groups_on_48_wide_frames, 3, None),
+    "encode level counts past a byte": (
+        encode_levels_past_a_byte, (3, "error: level counts must fit in a byte\n"), None,
+    ),
     "load_controls blank lines counted": (
         controls_with_blank_lines, InvalidInput, r"controls\.jsonl:6: field 'h'",
     ),
