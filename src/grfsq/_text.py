@@ -16,29 +16,23 @@ MAX_SPEECH_VOCAB = 2**53  # the float64 `framewise` context holds every token ex
 
 def _lines(path):
     """(lineno, text) of each non-blank line of a UTF-8 file, stripped and
-    numbered from 1; callers format `path:lineno` only when they raise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if text:
-                    yield lineno, text
-        except UnicodeDecodeError:
-            raise InvalidInput(f"{path}:{_undecodable_line(path)}: not UTF-8 text") from None
+    numbered from 1 as text mode splits lines (at \\n, \\r\\n and a lone
+    \\r); callers format `path:lineno` only when they raise.
 
-
-def _undecodable_line(path) -> int:
-    """The number of the first line holding a byte that is not UTF-8, with
-    lines split as text mode splits them (at \\n, \\r\\n and a lone \\r).
-    Text mode decodes in chunks, so only this second, binary pass can tell."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        data = data[: exc.start]
-    head = data.decode("utf-8")
-    return head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+    One pass: a byte that is not UTF-8 decodes to a lone surrogate, which no
+    valid UTF-8 decodes to, so a line is refused where it fails to encode
+    back, and the first bad line is the one reported."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if not text.isascii():
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InvalidInput(f"{path}:{lineno}: not UTF-8 text") from None
+            yield lineno, text
 
 
 def _json_line(path, lineno: int, text: str):

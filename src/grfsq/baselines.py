@@ -138,6 +138,8 @@ def _kmeans(
     uniform draw lands within that rounding of a step of the cdf.
     """
     G, n, dim = data.shape
+    if dim < 1:
+        raise InvalidInput("k-means needs frames of at least one value, got zero-width frames")
     if k > n:
         raise InvalidConfig(f"k ({k}) exceeds the number of data points ({n})")
     rngs = [PCG64(seed) for seed in seeds]

@@ -98,7 +98,7 @@ def _write_frames(path: str, frames: np.ndarray) -> None:
     lines from that table."""
     step = max(1, _WRITE_CELLS // max(frames.shape[1], 1))
     table = np.zeros(1, np.uint64), np.array([b"0.0"], "S24")  # 0.0 (bits 0): never empty
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for s in range(0, len(frames), step):
             block = np.ascontiguousarray(frames[s : s + step], dtype=np.float64)
             table = _write_block(fh, block, *table)
@@ -117,7 +117,7 @@ def _write_block(fh, block: np.ndarray, old_bits: np.ndarray, old_text: np.ndarr
     values = bits[fresh].view(np.float64)
     text[fresh] = np.fromiter(map(float.__repr__, values), "S24", len(values))
     for row in index.reshape(block.shape):
-        fh.write((b"[" + b", ".join(text[row].tolist()) + b"]\n").decode("ascii"))
+        fh.write(b"[" + b", ".join(text[row].tolist()) + b"]\n")
     return bits, text
 
 
@@ -480,15 +480,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (*_DATA_ERRORS, *_CONFIG_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, _DATA_ERRORS) else 3 if isinstance(exc, _CONFIG_ERRORS) else 4
 
 
 def _report_io_error(exc: OSError) -> int:

@@ -70,7 +70,6 @@ class GrfsqConfig:
             count = _checked_int(getattr(self, name), name, InvalidConfig, low=1)
             object.__setattr__(self, name, count)
         d = self.level_spec.d
-        ups = None
         if self.projections is None:
             if self.group_dim != d:
                 raise InvalidConfig(
@@ -80,9 +79,6 @@ class GrfsqConfig:
         else:
             downs = _as_projections(self.projections, self.num_groups, d, self.group_dim)
             object.__setattr__(self, "projections", downs)
-            ups = np.ascontiguousarray(downs.transpose(0, 2, 1))
-            ups.setflags(write=False)
-        object.__setattr__(self, "_ups", ups)
         if self.level_spec.codebook_size > 2**63 - 1:
             raise InvalidConfig("codebook size too large for signed 64-bit indices")
 
@@ -126,10 +122,16 @@ class UtilizationReport:
 def _project(stacked: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply per-group matrices (G, m, n) to vectors (..., G, n).
 
-    matmul makes one matrix-vector BLAS call per (row, group), the same call
-    a single ``matrix @ vector`` makes, so batching does not change a bit.
+    Each output sums its n products in index order, one rounded multiply and
+    one rounded add at a time. BLAS would pick its summation order and FMA
+    use by CPU, so a stream would decode to different bits on different
+    machines; elementwise ufuncs give the same bits on every machine, for
+    any batch shape and any memory layout of `stacked`.
     """
-    return np.matmul(stacked, v[..., None])[..., 0]
+    out = stacked[:, :, 0] * v[..., 0, None]
+    for k in range(1, v.shape[-1]):
+        out += stacked[:, :, k] * v[..., k, None]
+    return out
 
 
 def _stage_values(codes, cfg: GrfsqConfig) -> np.ndarray:
@@ -137,7 +139,9 @@ def _stage_values(codes, cfg: GrfsqConfig) -> np.ndarray:
     (..., G, d). The encoder and the decoder both build every stage here, so
     a decode is bit-equal to the encoder's reconstruction."""
     values = _grid_values(codes, cfg.level_spec.levels)
-    return values if cfg._ups is None else _project(cfg._ups, values)
+    if cfg.projections is None:
+        return values
+    return _project(cfg.projections.transpose(0, 2, 1), values)
 
 
 def _encode(arr: np.ndarray, cfg: GrfsqConfig):

@@ -803,8 +803,11 @@ NESTED = b"[" * 100_000 + b"\n"
     ("controls", b"\xff\n", 1, "not UTF-8 text"),
     ("frames", NESTED, 1, "invalid JSON"),
     ("controls", NESTED, 1, "invalid JSON"),
+    # the first bad line is reported, whatever its fault
+    ("frames", b"[1.0]\n[oops\n[\xff]\n", 2, "invalid JSON"),
+    ("speech", b"1\nx\n\xff\n", 2, "not an integer token"),
 ], ids=["frames-ff", "frames-cr-lines", "frames-late-byte", "speech-ff", "controls-ff",
-        "frames-nested", "controls-nested"])
+        "frames-nested", "controls-nested", "frames-json-before-ff", "speech-token-before-ff"])
 def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content, where, message):
     speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 3)
     paths = {"frames": tmp_path / "frames.jsonl", "speech": speech, "controls": controls}

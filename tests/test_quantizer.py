@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grfsq.errors import (
     ConfigMismatch,
@@ -247,7 +248,8 @@ class TestDequantize:
         acc = np.zeros(arr.shape[:-1] + (cfg.group_dim,))
         for r in range(cfg.num_residuals):
             q = values[..., r, :]
-            q = q if cfg._ups is None else quantizer._project(cfg._ups, q)
+            if cfg.projections is not None:
+                q = quantizer._project(cfg.projections.transpose(0, 2, 1), q)
             acc = acc + q
         return acc.reshape(arr.shape[:-2] + (cfg.total_dim,))
 
@@ -382,6 +384,7 @@ def old_encode(frames, cfg):
     Returns (reconstruction, cumulative RMSE by stage)."""
     levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
     project = quantizer._project
+    ups = None if cfg.projections is None else cfg.projections.transpose(0, 2, 1)
     recon = np.empty_like(frames)
     sq_err = np.zeros(cfg.num_residuals)
     for s in range(0, len(frames), quantizer._CHUNK):
@@ -392,7 +395,7 @@ def old_encode(frames, cfg):
         for r in range(cfg.num_residuals):
             z = residual if cfg.projections is None else project(cfg.projections, residual)
             values = _grid_values(_nearest_codes(np.tanh(z), levels), levels)
-            q = values if cfg._ups is None else project(cfg._ups, values)
+            q = values if ups is None else project(ups, values)
             acc = acc + q
             residual = residual - q
             partials[r] = acc.reshape(chunk.shape)
@@ -432,6 +435,37 @@ class TestStageFunction:
         assert recon.tobytes() == want_recon.tobytes()
         assert grfsq_dequantize(tokens, cfg).tobytes() == recon.tobytes()
         assert report.cumulative_rmse_by_residual.tobytes() == want_rmse.tobytes()
+
+
+@st.composite
+def projection_cases(draw):
+    """Per-group matrices (G, m, n), C-ordered or a transposed view as the
+    up-projection reads them, and vectors (..., G, n) with 0 to 2 lead axes."""
+    G, m, n = (draw(st.integers(1, 3)) for _ in range(3))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    reals = st.floats(-1e3, 1e3)
+    if draw(st.booleans()):
+        stacked = draw(hnp.arrays(np.float64, (G, n, m), elements=reals)).transpose(0, 2, 1)
+    else:
+        stacked = draw(hnp.arrays(np.float64, (G, m, n), elements=reals))
+    return stacked, draw(hnp.arrays(np.float64, lead + (G, n), elements=reals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_cases())
+def test_project_sums_each_output_in_index_order(case):
+    """`_project` gives, bit for bit, a plain-Python sum over k = 0, 1, ...
+    of one rounded product each: no BLAS order and no fused multiply-add."""
+    stacked, v = case
+    got = quantizer._project(stacked, v)
+    _, m, n = stacked.shape
+    assert got.shape == v.shape[:-1] + (m,)
+    for *lead, g in np.ndindex(v.shape[:-1]):
+        for i in range(m):
+            acc = float(stacked[g, i, 0]) * float(v[(*lead, g, 0)])
+            for k in range(1, n):
+                acc += float(stacked[g, i, k]) * float(v[(*lead, g, k)])
+            assert got[(*lead, g, i)].tobytes() == np.float64(acc).tobytes()
 
 
 class TestCalibration:

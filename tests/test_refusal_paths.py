@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from grfsq.baselines import BaselineConfig, Codebook, baseline_encode
+from grfsq.baselines import BaselineConfig, Codebook, baseline_encode, kmeans_fit
 from grfsq.cli import main
 from grfsq.errors import (
     ConfigMismatch,
@@ -55,6 +55,21 @@ def encode_levels_past_a_byte(tmp_path):
         code = main(["encode", str(path), str(tmp_path / "x.grfq"), "--groups", "24",
                      "--levels", "256,2"])
     return code, err.getvalue()
+
+
+def ablate_vq_on_zero_width_frames(iters):
+    def call(tmp_path):
+        path = tmp_path / "frames.jsonl"
+        path.write_text("[]\n" * 4)  # zero-width frames load; k-means cannot fit them
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["ablate", str(path), "--schemes", "vq", "--vq-k", "2",
+                         "--kmeans-iters", str(iters)])
+        return code, err.getvalue()
+    return call
+
+
+ZERO_WIDTH = "error: k-means needs frames of at least one value, got zero-width frames\n"
 
 
 def controls_with_blank_lines(tmp_path):
@@ -127,6 +142,13 @@ CASES = {
             np.zeros((T, 4)), BaselineConfig("gvq", 2, groups=2), [[Codebook(np.zeros((2, 2)))]]
         ),
         ConfigMismatch, "codebook grid does not match",
+    ),
+    "kmeans_fit zero-width frames": (
+        lambda _: kmeans_fit(np.zeros((3, 0)), 1, 2, 0), InvalidInput, "zero-width frames",
+    ),
+    "ablate zero-width frames": (ablate_vq_on_zero_width_frames(2), (2, ZERO_WIDTH), None),
+    "ablate zero-width frames without Lloyd": (
+        ablate_vq_on_zero_width_frames(0), (2, ZERO_WIDTH), None,
     ),
     "fsq_dequantize code count": (
         lambda _: fsq_dequantize([0, 0, 0], LevelSpec((5, 5))), InvalidCode, "expected 2 codes",

@@ -5,15 +5,21 @@ Two modes: plain mixed-radix packing on 48-dim frames, and a PCA-calibrated
 recurrence (no RNG), and the expected SHA-256 values of both stdouts, the
 stream, the reconstructions and the decoded frames were recorded with the
 per-frame packer that the whole-payload packer replaced. Any change to the
-stream bytes or to the decoded values moves one of these hashes.
+stream bytes or to the decoded values moves one of these hashes. One more
+test decodes a projected stream in child processes under two BLAS kernels.
 """
 
 import hashlib
+import importlib
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from grfsq.cli import main
+from test_process_exit import process_env
 
 T = 300  # neither a multiple of the quantizer's batch nor of a byte
 
@@ -103,3 +109,39 @@ def test_roundtrip_matches_recorded_hashes(mode, tmp_path, monkeypatch, capsys):
         "decoded": _sha((tmp_path / "decoded.jsonl").read_bytes()),
     }
     assert got == expected
+
+
+def _openblas_kernels_selectable() -> bool:
+    """Whether numpy's BLAS is OpenBLAS built with DYNAMIC_ARCH, so that a
+    child's OPENBLAS_CORETYPE picks its kernel, on a CPU with AVX2 to run
+    the Haswell one."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        features = importlib.import_module("numpy._core._multiarray_umath").__cpu_features__
+    except (TypeError, KeyError, ImportError, AttributeError):  # an older numpy: no such API
+        return False
+    return ("openblas" in blas.get("name", "")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and features.get("AVX2", False))
+
+
+@pytest.mark.skipif(not _openblas_kernels_selectable(),
+                    reason="needs numpy on OpenBLAS with DYNAMIC_ARCH and an AVX2 CPU")
+def test_projected_stream_decodes_alike_under_every_blas_kernel(tmp_path, capsys):
+    """A stream is what one machine hands another: a projected stream with a
+    grid whose products do not sum exactly (7 levels) must decode to the
+    same bytes whichever BLAS kernel the decoding process picks."""
+    _write_jsonl(tmp_path / "frames.jsonl", _projected_frames(40, 7))
+    assert main(["encode", str(tmp_path / "frames.jsonl"), str(tmp_path / "s.grfq"),
+                 "--levels", "7,7,7,7", "--calibrate", str(tmp_path / "frames.jsonl")]) == 0
+    capsys.readouterr()
+    decoded = {}
+    for kernel in ("Prescott", "Haswell"):
+        out = tmp_path / f"{kernel}.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "grfsq", "decode", str(tmp_path / "s.grfq"), str(out)],
+            env=dict(process_env(), OPENBLAS_CORETYPE=kernel), capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        decoded[kernel] = out.read_bytes()
+    assert decoded["Prescott"] == decoded["Haswell"]
