@@ -110,86 +110,71 @@ def _limb_spec(base: int) -> LevelSpec:
     return LevelSpec((base,) * k)
 
 
-def _pack_blocks(flat: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[bytes]:
-    """Pack T frames of G*R indices, `flat` of shape (T, G*R), into their
-    blocks. Indices are checked at once; the blocks come lazily, in runs of
-    `_PACK_CELLS` indices, one numpy pass per run."""
-    flat = _checked_ints(flat, cfg.codebook_size, "indices", InvalidIndex)
+def _pack_blocks(indices: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[bytes]:
+    """Pack T frames of checked indices, (T, G, R) or (T, G*R), into one bytes
+    object per run of `_PACK_CELLS` indices: numpy folds each k digits into a
+    uint64 limb (a base**k digit), then Python runs Horner over its limbs."""
     base, rev = _radix(cfg, mode)
     spec = _limb_spec(base)
-    nbits = frame_bits(cfg, mode)
-    digits = flat[:, ::-1] if rev else flat
-    step = max(1, _PACK_CELLS // flat.shape[1])
-    return (_pack_run(digits[s : s + step], spec, nbits) for s in range(0, len(flat), step))
-
-
-def _pack_run(digits: np.ndarray, spec: LevelSpec, nbits: int) -> bytes:
-    # numpy folds each run of k digits into one uint64 limb (a base**k
-    # digit); Python then runs Horner over the few limbs of each frame
     k, limb_base = spec.d, spec.codebook_size
-    frames, count = digits.shape
-    padded = np.zeros((frames, -(-count // k) * k), dtype=np.uint64)
-    padded[:, :count] = digits
-    limbs = _flatten(padded.reshape(frames, -1, k), spec)
+    nbits = frame_bits(cfg, mode)
     nbytes, pad = (nbits + 7) // 8, -nbits % 8
-    blocks = []
-    for row in limbs.tolist():
-        value = 0
-        for limb in reversed(row):  # limb 0 is least significant
-            value = value * limb_base + limb
-        blocks.append((value << pad).to_bytes(nbytes, "big"))
-    return b"".join(blocks)
+    count = cfg.num_groups * cfg.num_residuals
+    flat = indices.reshape(len(indices), count)
+    digits = flat[:, ::-1] if rev else flat
+    step = max(1, _PACK_CELLS // count)
+    for s in range(0, len(digits), step):
+        run = digits[s : s + step]
+        padded = np.zeros((len(run), -(-count // k) * k), dtype=np.uint64)
+        padded[:, :count] = run
+        limbs = _flatten(padded.reshape(len(run), -1, k), spec)
+        blocks = []
+        for row in limbs.tolist():
+            value = 0
+            for limb in reversed(row):  # limb 0 is least significant
+                value = value * limb_base + limb
+            blocks.append((value << pad).to_bytes(nbytes, "big"))
+        yield b"".join(blocks)
 
 
 def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarray:
-    """Invert `_pack_blocks` for a payload of whole blocks of `nbits` bits
-    each, padded to bytes; returns (T, G, R) indices. The first bad frame
-    raises CorruptStream: nonzero padding first, then an index past the
-    codebook range."""
+    """Invert `_pack_blocks` on whole blocks of `nbits` bits padded to bytes:
+    Python splits each block into pad bits and limbs, numpy unfolds and
+    checks each run. The first bad frame raises CorruptStream, nonzero
+    padding before an index past the codebook range."""
     base, rev = _radix(cfg, mode)
     spec = _limb_spec(base)
+    k, limb_base, size = spec.d, spec.codebook_size, cfg.codebook_size
     count = cfg.num_groups * cfg.num_residuals
-    nbytes = (nbits + 7) // 8
+    nlimbs = -(-count // k)
+    # the last limb holds fewer digits; as a block is below 2**nbits <=
+    # 2 * base**count, it is below 2 * top <= 2 * limb_base, so fits a uint64
+    top = base ** (count - (nlimbs - 1) * k)
+    nbytes, pad = (nbits + 7) // 8, -nbits % 8
     frames = len(payload) // nbytes
     out = np.empty((frames, count), dtype=np.int64)
     step = max(1, _PACK_CELLS // count)
-    view = memoryview(payload)
     for s in range(0, frames, step):
-        chunk = view[s * nbytes : (s + step) * nbytes]
-        out[s : s + step] = _unpack_run(chunk, count, spec, cfg.codebook_size, nbits)
+        pads, limbs = [], []
+        for t in range(s, min(s + step, frames)):
+            value = int.from_bytes(payload[t * nbytes : (t + 1) * nbytes], "big")
+            pads.append(value & ((1 << pad) - 1))
+            value >>= pad
+            for _ in range(nlimbs - 1):
+                value, limb = divmod(value, limb_base)
+                limbs.append(limb)
+            limbs.append(value)
+        rows = np.array(limbs, dtype=np.uint64).reshape(len(pads), nlimbs)
+        digits = _unflatten(rows, spec).reshape(len(pads), nlimbs * k)[:, :count]
+        bad_pad = np.array(pads, dtype=bool)
+        bad = bad_pad | (rows[:, -1] >= top) | (digits >= size).any(axis=1)
+        if bad.any():
+            t = int(bad.argmax())
+            raise CorruptStream(
+                "nonzero padding bits" if bad_pad[t] else "packed index exceeds codebook range"
+            )
+        out[s : s + len(pads)] = digits
     return (out[:, ::-1] if rev else out).reshape(frames, cfg.num_groups, cfg.num_residuals)
-
-
-def _unpack_run(chunk, count: int, spec: LevelSpec, size: int, nbits: int) -> np.ndarray:
-    k, limb_base = spec.d, spec.codebook_size
-    nlimbs = -(-count // k)
-    top = spec.levels[0] ** (count - (nlimbs - 1) * k)  # the last limb holds fewer digits
-    nbytes, pad = (nbits + 7) // 8, -nbits % 8
-    frames = len(chunk) // nbytes
-    bad_pad = np.zeros(frames, dtype=bool)
-    over = np.zeros(frames, dtype=bool)
-    rows = []
-    for t in range(frames):
-        value = int.from_bytes(chunk[t * nbytes : (t + 1) * nbytes], "big")
-        bad_pad[t] = value & ((1 << pad) - 1)
-        value >>= pad
-        row = []
-        for _ in range(nlimbs - 1):
-            value, limb = divmod(value, limb_base)
-            row.append(limb)
-        if value >= top:  # zeroed, as it may not fit a uint64
-            over[t], value = True, 0
-        row.append(value)
-        rows.append(row)
-    limbs = np.array(rows, dtype=np.uint64).reshape(frames, nlimbs)
-    digits = _unflatten(limbs, spec).reshape(frames, nlimbs * k)[:, :count]
-    bad = bad_pad | over | (digits >= size).any(axis=1)
-    if bad.any():
-        t = int(bad.argmax())
-        raise CorruptStream(
-            "nonzero padding bits" if bad_pad[t] else "packed index exceeds codebook range"
-        )
-    return digits
 
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
@@ -201,7 +186,8 @@ def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes
             f"expected {count} indices or shape "
             f"({cfg.num_groups}, {cfg.num_residuals}), got {arr.shape}"
         )
-    return b"".join(_pack_blocks(arr.reshape(1, count), cfg, mode))
+    checked = _checked_ints(arr.reshape(1, count), cfg.codebook_size, "indices", InvalidIndex)
+    return b"".join(_pack_blocks(checked, cfg, mode))
 
 
 def frame_unpack(block: bytes, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> np.ndarray:
@@ -296,12 +282,11 @@ def write_stream(header: StreamHeader, tensor, sink) -> int:
     expected = (header.frame_count, cfg.num_groups, cfg.num_residuals)
     if arr.shape != expected:
         raise ConfigMismatch(f"tensor shape {arr.shape} does not match header {expected}")
-    count = cfg.num_groups * cfg.num_residuals
-    runs = _pack_blocks(arr.reshape(header.frame_count, count), cfg, header.packing_mode)
+    indices = _checked_ints(arr, cfg.codebook_size, "indices", InvalidIndex)
     raw = _encode_header(header)
     sink.write(raw)
     total = len(raw)
-    for run in runs:
+    for run in _pack_blocks(indices, cfg, header.packing_mode):
         sink.write(run)
         total += len(run)
     return total

@@ -42,7 +42,6 @@ from .quantizer import (
     DEFAULT_LEVELS,
     DEFAULT_RESIDUALS,
     GrfsqConfig,
-    _check_fps,
     _frame_rmse,
     bitrate,
     calibrate_projections,
@@ -239,12 +238,13 @@ def cmd_decode(args) -> int:
 
 
 def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
-    """One ablation row's config, checked against the training frames so a
-    bad flag fails before any codebook is fit."""
+    """One ablation row's config and bitrate, checked against the training
+    frames so a bad flag fails before any codebook is fit."""
     from . import baselines
 
     if scheme == "grfsq":
-        return _stream_header(args, train.shape[1]).config
+        cfg = _stream_header(args, train.shape[1]).config
+        return cfg, bitrate(cfg, args.fps)
     groups, residuals, k = {
         "vq": (1, 1, args.vq_k),
         "gvq": (args.gvq_groups, 1, args.gvq_k),
@@ -263,7 +263,7 @@ def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
         raise ConfigMismatch(f"dimension {train.shape[1]} not divisible into {groups} groups")
     if k > train.shape[0]:
         raise InvalidConfig(f"{scheme} k ({k}) exceeds the {train.shape[0]} training frames")
-    return cfg
+    return cfg, baselines.baseline_bitrate(cfg, args.fps)
 
 
 def cmd_ablate(args) -> int:
@@ -279,7 +279,6 @@ def cmd_ablate(args) -> int:
         if scheme in schemes[:i]:
             raise InvalidConfig(f"--schemes names {scheme!r} twice")
     seed = _resolve_seed(args.seed)
-    _check_fps(args.fps)
     if not 0.0 <= args.holdout < 1.0:
         raise InvalidConfig("--holdout must be in [0, 1)")
     split = frames.shape[0] - int(round(args.holdout * frames.shape[0]))
@@ -291,16 +290,14 @@ def cmd_ablate(args) -> int:
     # every scheme's flags are checked before the first codebook is fit
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
     rows, blobs = [], {}
-    for scheme, cfg in zip(schemes, configs):
+    for scheme, (cfg, bps) in zip(schemes, configs):
         if scheme == "grfsq":
             tokens, recon, _ = quantize_sequence(evaluate, cfg)
             util = utilization(tokens, cfg)
-            bps = bitrate(cfg, args.fps)
         else:
             books = baselines.fit_codebooks(train, cfg)
             tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
             util = baselines.baseline_utilization(tokens, cfg)
-            bps = baselines.baseline_bitrate(cfg, args.fps)
             if args.save_codebooks:
                 for g, row_books in enumerate(books):
                     for r, book in enumerate(row_books):

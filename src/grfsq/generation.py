@@ -224,7 +224,9 @@ def validate_prediction_grid(probs) -> RowGrid | np.ndarray:
     # sums to 0, so it fails the row-sum check.
     if values.size and not (values.min() >= 0.0 and math.isfinite(values.max())):  # NaN fails both
         raise InvalidInput("probabilities must be finite and non-negative")
-    if np.any(np.abs(values.sum(axis=-1) - 1.0) > 1e-9):
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        sums = values.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > 1e-9):
         raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
     return probs
 

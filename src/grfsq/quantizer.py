@@ -160,13 +160,15 @@ def _encode(arr: np.ndarray, cfg: GrfsqConfig):
         chunk = residual = frames[s : s + _CHUNK]
         acc = recon[s : s + _CHUNK]
         for r in range(cfg.num_residuals):
-            z = residual if cfg.projections is None else _project(cfg.projections, residual)
-            codes = _nearest_codes(np.tanh(z), levels)
-            q = _stage_values(codes, cfg)
-            acc += q
-            residual = residual - q
-            indices[s : s + _CHUNK, :, r] = _flatten(codes, cfg.level_spec)
-            with np.errstate(over="ignore"):  # quantize_sequence refuses an overflow
+            # quantize_sequence refuses an overflow: with projection entries
+            # at most 1, a projection past float64 means a squared error past it
+            with np.errstate(over="ignore"):
+                z = residual if cfg.projections is None else _project(cfg.projections, residual)
+                codes = _nearest_codes(np.tanh(z), levels)
+                q = _stage_values(codes, cfg)
+                acc += q
+                residual = residual - q
+                indices[s : s + _CHUNK, :, r] = _flatten(codes, cfg.level_spec)
                 sq_err[r] += ((chunk - acc) ** 2).sum()
     return indices, recon.reshape(len(arr), cfg.total_dim), sq_err
 
@@ -295,7 +297,10 @@ def _check_fps(fps: float) -> None:
 def _token_bitrate(books: int, codebook_size: int, fps: float) -> float:
     """Index bitrate of ``books`` codebooks per frame: books * log2(k) * fps."""
     _check_fps(fps)
-    return books * math.log2(codebook_size) * fps
+    rate = books * math.log2(codebook_size) * float(fps)
+    if not math.isfinite(rate):  # JSON has no Infinity
+        raise InvalidConfig(f"bitrate at {fps} fps overflows float64")
+    return rate
 
 
 def bitrate(cfg: GrfsqConfig, fps: float) -> float:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grfsq.bitstream import (
+    _PACK_CELLS,
     _READ_CHUNK,
     MODE_FIXED_WIDTH,
     MODE_MIXED_RADIX,
@@ -238,6 +239,17 @@ class TestStreamRoundTrip:
         header = StreamHeader(config=DEFAULT, frame_count=2, fps=25.0)
         with pytest.raises(ConfigMismatch):
             write_stream(header, np.zeros((3, 12, 4), dtype=np.int64), io.BytesIO())
+
+    @pytest.mark.parametrize("mode", [MODE_MIXED_RADIX, MODE_FIXED_WIDTH])
+    def test_bad_index_in_the_last_frame_leaves_the_sink_empty(self, mode):
+        frames = 3 * _PACK_CELLS // 48 + 1  # the payload spans four packing runs
+        tensor = np.zeros((frames, 12, 4), dtype=np.int64)
+        tensor[-1, -1, -1] = 625
+        header = StreamHeader(config=DEFAULT, frame_count=frames, fps=25.0, packing_mode=mode)
+        sink = io.BytesIO()
+        with pytest.raises(InvalidIndex):
+            write_stream(header, tensor, sink)
+        assert sink.getvalue() == b""
 
 
 class TestReadCostBoundedByBytes:

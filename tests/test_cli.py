@@ -29,6 +29,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refuse_constant(name):
+    """`json.loads` hook: RFC 8259 has no NaN or Infinity, though Python reads them."""
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture
 def frames48(tmp_path):
     rng = np.random.default_rng(60)
@@ -464,6 +469,7 @@ class TestAblate:
 
     @pytest.mark.parametrize("bad_flag", [
         ("--groups", "0"), ("--grvq-k", "5000"), ("--fps", "0"), ("--seed", "-1"),
+        ("--schemes", "vq", "--fps", "1e308"),  # a bitrate past float64
     ])
     def test_every_scheme_checked_before_fitting(
         self, tmp_path, capsys, monkeypatch, frames12, bad_flag
@@ -837,18 +843,26 @@ def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content,
                                  "--rvq-k", "4", "--rvq-residuals", "2"]),
     # the calibration covariance overflows float64: once a LinAlgError traceback
     (0.0, np.full(96, 1e200), ["encode", "{frames}", "{out}", "--calibrate", "{frames}"]),
-], ids=["ablate-kmeans", "encode", "ablate-grfsq", "ablate-lloyd", "encode-calibrate"])
+    # the down-projection of a frame overflows float64: once a RuntimeWarning
+    # before the refusal, raised from main under -W error
+    (0.0, np.full(16, 1.5e308), ["encode", "{frames}", "{out}", "--groups", "2",
+                                 "--levels", "5,5,5,5", "--calibrate", "{calib}"]),
+], ids=["ablate-kmeans", "encode", "ablate-grfsq", "ablate-lloyd", "encode-calibrate",
+        "encode-projected"])
 def test_frames_too_large_for_float64_exit_2(tmp_path, capsys, offset, scale, argv):
-    frames = offset + np.random.default_rng(68).uniform(-1, 1, (40, len(scale))) * scale
-    path, out = tmp_path / "frames.jsonl", tmp_path / "x.grfq"
-    write_jsonl_frames(path, frames)
+    rng = np.random.default_rng(68)
+    frames = offset + rng.uniform(-1, 1, (40, len(scale))) * scale
+    paths = {"frames": tmp_path / "frames.jsonl", "calib": tmp_path / "calib.jsonl",
+             "out": tmp_path / "x.grfq"}
+    write_jsonl_frames(paths["frames"], frames)
+    write_jsonl_frames(paths["calib"], rng.normal(size=(40, len(scale))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflow warning on stderr is a failure too
-        code, stdout, stderr = run(capsys, *(a.format(frames=path, out=out) for a in argv))
+        code, stdout, stderr = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2, stderr
     assert stderr.startswith("error: ") and "Traceback" not in stderr
     assert stdout == ""
-    assert not out.exists()
+    assert not paths["out"].exists()
 
 
 class TestArgvFuzz:
@@ -894,7 +908,7 @@ class TestArgvFuzz:
             code = main(argv)
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         if out.getvalue():
-            json.loads(out.getvalue())  # exactly one JSON document
+            json.loads(out.getvalue(), parse_constant=refuse_constant)  # one JSON document
         else:
             assert code != 0, argv
         return code
@@ -1034,7 +1048,7 @@ class TestInputFileFuzz:
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if out.getvalue():
-            json.loads(out.getvalue())  # exactly one JSON document
+            json.loads(out.getvalue(), parse_constant=refuse_constant)  # one JSON document
         else:
             assert code != 0, argv
 

@@ -8,11 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from grfsq.baselines import BaselineConfig, Codebook, baseline_encode, kmeans_fit
+from grfsq.baselines import (
+    BaselineConfig, Codebook, baseline_bitrate, baseline_encode, kmeans_fit,
+)
 from grfsq.cli import main
 from grfsq.errors import (
     ConfigMismatch,
     InvalidCode,
+    InvalidConfig,
     InvalidInput,
     PredictorContractViolation,
 )
@@ -24,10 +27,13 @@ from grfsq.generation import (
     RowGrid,
     SpeechTokenSeq,
     assemble_context,
+    generate,
     load_controls,
     validate_prediction_grid,
 )
-from grfsq.quantizer import GrfsqConfig, quantize_sequence, utilization
+from grfsq.quantizer import (
+    GrfsqConfig, bitrate, float_stream_bitrate, quantize_sequence, utilization,
+)
 
 T, G = 4, 3
 CFG = GrfsqConfig(12, 4, LevelSpec((5, 5, 5, 5)), 4)
@@ -110,6 +116,20 @@ CASES = {
         lambda _: validate_prediction_grid(np.full((T, 2), 0.5)),
         InvalidInput, r"must be \(T, G, C\)",
     ),
+    # each row sum overflows float64: once a RuntimeWarning under -W error
+    "validate_prediction_grid row sum past float64": (
+        lambda _: validate_prediction_grid(np.full((1, 1, 2), 1e308)),
+        InvalidInput, "must sum to 1",
+    ),
+    "validate_prediction_grid RowGrid row sum past float64": (
+        lambda _: validate_prediction_grid(RowGrid(np.full((1, 2), 1e308), np.zeros((1, 1), int))),
+        InvalidInput, "must sum to 1",
+    ),
+    "generate predictor row sum past float64": (
+        lambda _: generate(lambda ctx: np.full((T, G, 2), 1e308), np.zeros(0), SPEECH, CONTROLS,
+                           1, G),
+        PredictorContractViolation, "layer 0: each .* must sum to 1",
+    ),
     "EchoPredictor 2-D target": (
         lambda _: EchoPredictor(np.zeros((T, G), dtype=int)),
         InvalidInput, r"target must be \(T, G, R\)",
@@ -149,6 +169,17 @@ CASES = {
     "ablate zero-width frames": (ablate_vq_on_zero_width_frames(2), (2, ZERO_WIDTH), None),
     "ablate zero-width frames without Lloyd": (
         ablate_vq_on_zero_width_frames(0), (2, ZERO_WIDTH), None,
+    ),
+    # a bitrate past float64: once Infinity in ablate's JSON
+    "bitrate past float64": (
+        lambda _: bitrate(CFG, np.float64(1e308)), InvalidConfig, "overflows float64",
+    ),
+    "baseline_bitrate past float64": (
+        lambda _: baseline_bitrate(BaselineConfig("vq", 4), 1e308),
+        InvalidConfig, "overflows float64",
+    ),
+    "float_stream_bitrate past float64": (
+        lambda _: float_stream_bitrate(48, 1e308), InvalidConfig, "overflows float64",
     ),
     "fsq_dequantize code count": (
         lambda _: fsq_dequantize([0, 0, 0], LevelSpec((5, 5))), InvalidCode, "expected 2 codes",
