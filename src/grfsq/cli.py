@@ -1,8 +1,11 @@
 """Command-line codec: encode/decode motion streams, ablations, generation sims.
 
-Exit codes: 0 success, 2 input/data errors, 3 configuration errors,
-4 I/O errors (including a failed write of stdout or stderr). Metrics go to
-stdout as JSON; diagnostics go to stderr.
+Exit codes: 0 success; 2 a usage error or a data error (`InvalidInput`, `CorruptStream`,
+`InvalidIndex`, `InvalidCode`); 3 a configuration error (`InvalidConfig`, `ConfigMismatch`,
+`DegenerateCalibration`, `TooLarge`, `PredictorContractViolation`); 4 an OSError, such as a
+failed write of stdout or stderr. Each error class declares its code as `exit_code`. Metrics
+and --help go to stdout; every diagnostic goes to stderr through `_diagnose`, or nowhere
+when the process has no stderr.
 
 Each command imports only what it runs: `ablate` imports `baselines` and
 `schedule-sim` imports `generation` when called, so starting the CLI (and
@@ -24,17 +27,7 @@ import numpy as np
 
 from . import bitstream
 from ._text import DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines
-from .errors import (
-    ConfigMismatch,
-    CorruptStream,
-    DegenerateCalibration,
-    InvalidCode,
-    InvalidConfig,
-    InvalidIndex,
-    InvalidInput,
-    PredictorContractViolation,
-    TooLarge,
-)
+from .errors import ConfigMismatch, GrfsqError, InvalidConfig, InvalidInput, TooLarge
 from .fsq import ENUMERATION_CAP, LevelSpec
 from .quantizer import (
     DEFAULT_FPS,
@@ -50,14 +43,6 @@ from .quantizer import (
     utilization,
 )
 
-_DATA_ERRORS = (InvalidInput, CorruptStream, InvalidIndex, InvalidCode)
-_CONFIG_ERRORS = (
-    InvalidConfig,
-    ConfigMismatch,
-    DegenerateCalibration,
-    TooLarge,
-    PredictorContractViolation,
-)
 _WRITE_CELLS = 1 << 16  # frame values per formatting table while writing frames
 
 
@@ -397,11 +382,21 @@ def cmd_schedule_sim(args) -> int:
     return 0
 
 
+def _diagnose(text: str) -> None:
+    """Write and flush `text` to stderr, if there is one. A failed write raises."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+
+
 class _Parser(argparse.ArgumentParser):
-    def _print_message(self, message, file=None):
-        # argparse drops a failed help or usage write; raised, `run` exits 4
-        if message:
-            (file or sys.stderr).write(message)
+    # argparse would drop a failed write and, with no stderr, print usage to stdout
+    def error(self, message):
+        _diagnose(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(2)
+
+    def _print_message(self, message, file=None):  # only --help's text, for stdout
+        print(message, end="", file=file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,23 +468,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (*_DATA_ERRORS, *_CONFIG_ERRORS, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _DATA_ERRORS) else 3 if isinstance(exc, _CONFIG_ERRORS) else 4
+    except (GrfsqError, OSError) as exc:
+        return _report(exc)
 
 
-def _report_io_error(exc: OSError) -> int:
-    """Tell stderr, if it still takes writes, that output failed; the I/O exit code."""
-    if sys.stderr is not None:
-        try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
-    return 4
+def _report(exc: GrfsqError | OSError) -> int:
+    """Write `exc`'s `error:` line; its exit code, or 4 for an OSError or a refused line."""
+    try:
+        _diagnose(f"error: {exc}\n")
+    except OSError:
+        return 4
+    return exc.exit_code if isinstance(exc, GrfsqError) else 4
 
 
 def run() -> None:
@@ -498,23 +490,18 @@ def run() -> None:
     Runs `main()`, flushes stdout and stderr, and ends the process with
     `os._exit`: module teardown and the final collection would only add
     about 13 ms to every short command once numpy is loaded. Output that
-    cannot be written exits 4. A non-int exit code, or an exception `main`
-    does not handle, ends the process the usual way."""
+    cannot be written exits 4. An exception `main` does not handle ends the
+    process the usual way."""
     try:
         code = main()
     except SystemExit as exc:  # argparse's --help and usage errors
         code = exc.code
-    except OSError as exc:  # main's own error report could not reach stderr
-        code = _report_io_error(exc)
-    code = 0 if code is None else code
-    if not isinstance(code, int):
-        sys.exit(code)
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
     except OSError as exc:
-        code = _report_io_error(exc)
+        code = _report(exc)
     os._exit(code)
 
 

@@ -136,7 +136,7 @@ def assemble_context(
             raise InvalidInput(
                 f"prev_tokens have {prev.shape[1]} groups, expected {num_groups}"
             )
-        num_groups = prev.shape[1]
+        num_groups = _checked_int(prev.shape[1], "prev_tokens groups", InvalidInput, low=1)
     if num_groups is None:
         raise InvalidInput("num_groups is required when prev_tokens is not given")
 
@@ -220,13 +220,13 @@ def validate_prediction_grid(probs) -> RowGrid | np.ndarray:
         probs = values = _real_array(probs, "prediction grid", InvalidInput)
         if probs.ndim != 3:
             raise InvalidInput(f"prediction grid must be (T, G, C), got shape {probs.shape}")
-    # A bad value anywhere wins over a bad row sum; a row with no classes
-    # sums to 0, so it fails the row-sum check.
+    # A bad value anywhere wins over a bad row sum. A grid with no classes
+    # fails the row-sum check even when it has no cells to sum.
     if values.size and not (values.min() >= 0.0 and math.isfinite(values.max())):  # NaN fails both
         raise InvalidInput("probabilities must be finite and non-negative")
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         sums = values.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-9):
+    if not values.shape[-1] or np.any(np.abs(sums - 1.0) > 1e-9):
         raise InvalidInput("each (frame, group) row must sum to 1 within 1e-9")
     return probs
 

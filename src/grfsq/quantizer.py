@@ -102,7 +102,7 @@ class GrfsqConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionReport:
     """Distortion summary for a quantized sequence."""
 

@@ -26,9 +26,11 @@ from grfsq.generation import (
     EchoPredictor,
     RowGrid,
     SpeechTokenSeq,
+    argmax_sample,
     assemble_context,
     generate,
     load_controls,
+    nll,
     validate_prediction_grid,
 )
 from grfsq.quantizer import (
@@ -40,6 +42,8 @@ CFG = GrfsqConfig(12, 4, LevelSpec((5, 5, 5, 5)), 4)
 SPEECH = SpeechTokenSeq(tokens=np.arange(T), vocab=T)
 CONTROLS = ControlTrack(np.zeros((T, 3)), np.zeros((T, 2)), np.zeros((T, 2)))
 ROW_GRID = RowGrid(np.full((1, 2), 0.5), np.zeros((T, G), dtype=int))
+NO_SPEECH = SpeechTokenSeq(tokens=np.zeros(0, dtype=int), vocab=T)
+NO_CONTROLS = ControlTrack(np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def context(layer):
@@ -105,6 +109,11 @@ CASES = {
         lambda _: assemble_context(np.zeros(0), 0, SPEECH, CONTROLS),
         InvalidInput, "num_groups is required",
     ),
+    "assemble_context zero groups inferred from prev_tokens": (
+        lambda _: assemble_context(np.zeros(0), 1, SPEECH, CONTROLS,
+                                   prev_tokens=np.zeros((T, 0), dtype=int)),
+        InvalidInput, "prev_tokens groups must be >= 1, got 0",
+    ),
     "RowGrid 1-D rows": (
         lambda _: RowGrid(np.full(2, 0.5), np.zeros((T, G), dtype=int)),
         InvalidInput, r"row grid needs \(P, C\) rows",
@@ -124,6 +133,28 @@ CASES = {
     "validate_prediction_grid RowGrid row sum past float64": (
         lambda _: validate_prediction_grid(RowGrid(np.full((1, 2), 1e308), np.zeros((1, 1), int))),
         InvalidInput, "must sum to 1",
+    ),
+    # a grid with no classes has no class to pick, even when it has no cells
+    "validate_prediction_grid no cells, no classes": (
+        lambda _: validate_prediction_grid(np.zeros((0, 1, 0))), InvalidInput, "must sum to 1",
+    ),
+    "validate_prediction_grid no groups, no classes": (
+        lambda _: validate_prediction_grid(np.zeros((2, 0, 0))), InvalidInput, "must sum to 1",
+    ),
+    "validate_prediction_grid RowGrid no classes": (
+        lambda _: validate_prediction_grid(RowGrid(np.zeros((0, 0)), np.zeros((0, 1), int))),
+        InvalidInput, "must sum to 1",
+    ),
+    "argmax_sample no classes": (
+        lambda _: argmax_sample(np.zeros((0, 1, 0))), InvalidInput, "must sum to 1",
+    ),
+    "nll no classes": (
+        lambda _: nll(np.zeros((0, 1, 0)), np.zeros((0, 1), int)), InvalidInput, "must sum to 1",
+    ),
+    "generate no frames, no classes": (
+        lambda _: generate(lambda ctx: np.zeros((0, G, 0)), np.zeros(0), NO_SPEECH, NO_CONTROLS,
+                           1, G),
+        PredictorContractViolation, "layer 0: .*sum to 1",
     ),
     "generate predictor row sum past float64": (
         lambda _: generate(lambda ctx: np.full((T, G, 2), 1e308), np.zeros(0), SPEECH, CONTROLS,
@@ -185,6 +216,12 @@ CASES = {
         lambda _: fsq_dequantize([0, 0, 0], LevelSpec((5, 5))), InvalidCode, "expected 2 codes",
     ),
     "GrfsqConfig == non-config": (lambda _: CFG == "config", False, None),
+    # compared by identity, as a generated __eq__ would compare its arrays
+    "ReconstructionReport == its twin": (
+        lambda _: quantize_sequence(np.ones((2, 48)), CFG)[2]
+        == quantize_sequence(np.ones((2, 48)), CFG)[2],
+        False, None,
+    ),
     "ablate gvq groups not dividing the width": (ablate_gvq_5_groups_on_48_wide_frames, 3, None),
     "encode level counts past a byte": (
         encode_levels_past_a_byte, (3, "error: level counts must fit in a byte\n"), None,
