@@ -1,6 +1,7 @@
 """The rules every text input (frames, speech tokens, control records) is
-read by: one UTF-8 line reader, one JSON wrapper, one finite-number check
-and the speech vocabulary's limits. Kept apart from `generation` so that
+read by: one UTF-8 line reader, one JSON wrapper, one rule for the
+numerals of the plain-text formats, one finite-number check and the speech
+vocabulary's limits. Kept apart from `generation` so that
 commands which read frames never import the generation harness."""
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ def _json_line(path, lineno: int, text: str):
     # RecursionError, arrays or objects nested too deep to parse
     except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"{path}:{lineno}: invalid JSON: {exc}") from None
+
+
+def _numerals(text: str) -> str:
+    """`text`, for `int()` or `float()` to parse, or ValueError when it is
+    not ASCII or holds a `_`: both parsers also read `_` digit separators
+    and every Unicode decimal digit, which no text format here allows."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
 
 
 _JSON_NUMBERS = frozenset((int, float))

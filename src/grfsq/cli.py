@@ -26,9 +26,11 @@ from array import array
 import numpy as np
 
 from . import bitstream
-from ._text import DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines
+from ._text import (
+    DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines, _numerals,
+)
 from .errors import ConfigMismatch, GrfsqError, InvalidConfig, InvalidInput, TooLarge
-from .fsq import ENUMERATION_CAP, LevelSpec
+from .fsq import ENUMERATION_CAP, LevelSpec, _checked_int
 from .quantizer import (
     DEFAULT_FPS,
     DEFAULT_GROUPS,
@@ -53,7 +55,7 @@ def _load_frames(path: str) -> np.ndarray:
     for lineno, text in _lines(path):
         if is_csv:
             try:
-                row = [float(cell) for cell in text.split(",")]
+                row = [float(cell) for cell in _numerals(text).split(",")]
             except ValueError:
                 raise InvalidInput(f"{path}:{lineno}: non-numeric CSV cell") from None
         else:
@@ -114,13 +116,14 @@ def _parse_levels(text: str) -> LevelSpec:
 
 
 def _resolve_seed(value) -> int:
-    if value is not None:
-        return value
-    text = os.environ.get("GRFQ_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidConfig(f"GRFQ_SEED must be an integer, got {text!r}") from None
+    """--seed, else GRFQ_SEED, else 0: a non-negative integer for every scheme."""
+    if value is None:
+        text = os.environ.get("GRFQ_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError:
+            raise InvalidConfig(f"GRFQ_SEED must be an integer, got {text!r}") from None
+    return _checked_int(value, "seed", InvalidConfig)
 
 
 _PACKING_MODES = {name: mode for mode, name in bitstream.PACKING_MODE_NAMES.items()}

@@ -37,7 +37,11 @@ class LevelSpec:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        levels = tuple(_checked_int(l, "level count", InvalidConfig, low=2) for l in self.levels)
+        try:
+            levels = iter(self.levels)
+        except TypeError:
+            raise InvalidConfig(f"levels must be a sequence of counts, got {self.levels!r}") from None
+        levels = tuple(_checked_int(l, "level count", InvalidConfig, low=2) for l in levels)
         object.__setattr__(self, "levels", levels)
         if len(levels) < 1:
             raise InvalidConfig("level spec needs at least one dimension")

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines
+from ._text import (
+    DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines, _numerals,
+)
 from .errors import InvalidInput, PredictorContractViolation
 from .fsq import _checked_int, _checked_ints, _checked_reals, _real_array
 
@@ -275,43 +277,37 @@ def generate(
     of its rows (a dense grid has one per cell) is argmaxed and scored once,
     so no (T, G, C) array is built for a predictor that returns a RowGrid.
     Each cell's token goes into that layer's slice of the output (T, groups,
-    layers).
+    layers), where the next layer reads it. Every grid must have the shape
+    of layer 0's, (T, groups, C).
     """
     num_layers = _checked_int(num_layers, "num_layers", InvalidInput, low=1)
     num_groups = _checked_int(num_groups, "num_groups", InvalidInput, low=1)
     T = len(speech)
     out = np.zeros((T, num_groups, num_layers), dtype=np.int64)
     nll_per_layer = np.zeros(num_layers)
-    num_classes = None
-    prev = None
-    for layer_pass in build_schedule(T, num_layers).passes:
-        layer = layer_pass.layer
+    for layer in range(num_layers):
         context = assemble_context(
-            global_feature, layer, speech, controls, prev_tokens=prev, num_groups=num_groups
+            global_feature, layer, speech, controls,
+            prev_tokens=out[:, :, layer - 1] if layer else None, num_groups=num_groups,
         )
         grid = predictor(context)
         if not isinstance(grid, RowGrid):
             grid = _real_array(grid, f"layer {layer}: prediction grid", PredictorContractViolation)
-        if grid.ndim != 3 or grid.shape[0] != T or grid.shape[1] != num_groups:
+        if layer == 0:
+            # a (T, groups) grid passes here and is refused as not 3-D below
+            expected = (T, num_groups, *grid.shape[2:3])
+        if grid.shape != expected:
             raise PredictorContractViolation(
-                f"layer {layer}: grid shape {grid.shape}, expected ({T}, {num_groups}, C)"
-            )
-        if num_classes is None:
-            num_classes = grid.shape[2]
-        elif grid.shape[2] != num_classes:
-            raise PredictorContractViolation(
-                f"layer {layer}: class count changed from {num_classes} to {grid.shape[2]}"
+                f"layer {layer}: grid shape {grid.shape}, expected {expected}"
             )
         try:
             rows, which = _rows_of(validate_prediction_grid(grid))
         except InvalidInput as exc:
             raise PredictorContractViolation(f"layer {layer}: {exc}") from None
-        tokens = _argmax(rows, which)
+        out[:, :, layer] = _argmax(rows, which)
         if with_nll:
-            nll_per_layer[layer] = _picked_nll(rows, which, tokens)
+            nll_per_layer[layer] = _picked_nll(rows, which, out[:, :, layer])
         del grid, rows  # free this layer's rows before the next predictor call
-        out[:, :, layer] = tokens
-        prev = tokens
     if with_nll:
         return out, nll_per_layer
     return out
@@ -426,7 +422,7 @@ def load_speech_tokens(path, vocab: int = DEFAULT_SPEECH_VOCAB) -> SpeechTokenSe
     tokens = []
     for lineno, text in _lines(path):
         try:
-            value = int(text)
+            value = int(_numerals(text))
         except ValueError:
             raise InvalidInput(f"{path}:{lineno}: not an integer token: {text!r}") from None
         if value < 0 or value >= vocab:

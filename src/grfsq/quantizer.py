@@ -38,6 +38,10 @@ _CHUNK = 256  # frames per batched encode or decode; bounds their temporaries
 
 def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
     """Per-group projections as one read-only (groups, d, group_dim) float64 array."""
+    try:
+        mats = iter(mats)
+    except TypeError:
+        raise InvalidConfig(f"projections must be a sequence of matrices, got {mats!r}") from None
     mats = [_checked_reals(m, f"projection {g}", InvalidConfig) for g, m in enumerate(mats)]
     if len(mats) != groups:
         raise InvalidConfig(f"expected {groups} projections, got {len(mats)}")
@@ -69,6 +73,8 @@ class GrfsqConfig:
         for name in ("num_groups", "num_residuals", "group_dim"):
             count = _checked_int(getattr(self, name), name, InvalidConfig, low=1)
             object.__setattr__(self, name, count)
+        if not isinstance(self.level_spec, LevelSpec):
+            raise InvalidConfig(f"level_spec must be a LevelSpec, got {self.level_spec!r}")
         d = self.level_spec.d
         if self.projections is None:
             if self.group_dim != d:

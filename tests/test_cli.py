@@ -206,7 +206,11 @@ class TestEncode:
         ("bad.csv", "0.0,0.0\n0.0,abc\n", ":2: non-numeric CSV cell"),
         ("bad.jsonl", "[0.0, 0.0]\n{\"x\": 0.0}\n", ":2: expected an array of numbers"),
         ("blank.jsonl", "\n  \n\n", ": no frames found"),
-    ], ids=["csv-cell", "json-not-array", "only-blank-lines"])
+        # float() reads both; the CSV format allows neither
+        ("sep.csv", "0.0,0.0\n0.0,1_0\n", ":2: non-numeric CSV cell"),
+        ("digit.csv", "0.0,0.0\n0.0,\u0661\n", ":2: non-numeric CSV cell"),
+    ], ids=["csv-cell", "json-not-array", "only-blank-lines", "csv-digit-separator",
+            "csv-non-ascii-digit"])
     def test_bad_frame_file_exits_2_naming_the_line(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
@@ -812,8 +816,12 @@ NESTED = b"[" * 100_000 + b"\n"
     # the first bad line is reported, whatever its fault
     ("frames", b"[1.0]\n[oops\n[\xff]\n", 2, "invalid JSON"),
     ("speech", b"1\nx\n\xff\n", 2, "not an integer token"),
+    # int() reads both; a speech-token file allows neither
+    ("speech", b"1\n1_000\n", 2, "not an integer token"),
+    ("speech", "1\n\u0663\n".encode(), 2, "not an integer token"),
 ], ids=["frames-ff", "frames-cr-lines", "frames-late-byte", "speech-ff", "controls-ff",
-        "frames-nested", "controls-nested", "frames-json-before-ff", "speech-token-before-ff"])
+        "frames-nested", "controls-nested", "frames-json-before-ff", "speech-token-before-ff",
+        "speech-digit-separator", "speech-non-ascii-digit"])
 def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content, where, message):
     speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 3)
     paths = {"frames": tmp_path / "frames.jsonl", "speech": speech, "controls": controls}
@@ -1085,6 +1093,20 @@ class TestDeterminism:
                                    "--vq-k", "2", "--groups", "1", "--levels", "5,5,5,5")
         assert code == 3
         assert "GRFQ_SEED" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("flag, env", [(("--seed", "-1"), "0"), ((), "-7")],
+                             ids=["flag", "env"])
+    def test_negative_seed_exits_3_with_the_grfsq_row_alone(
+        self, tmp_path, capsys, monkeypatch, flag, env
+    ):
+        path = tmp_path / "frames.jsonl"
+        write_jsonl_frames(path, np.zeros((8, 4)))
+        monkeypatch.setenv("GRFQ_SEED", env)
+        code, stdout, stderr = run(capsys, "ablate", str(path), "--schemes", "grfsq", *flag,
+                                   "--groups", "1", "--levels", "5,5,5,5")
+        assert code == 3
+        assert "seed must be >= 0" in stderr
         assert stdout == ""
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):

@@ -243,6 +243,39 @@ class TestGenerate:
             generate(no_classes, np.zeros(2), speech, controls, num_layers=2, num_groups=2)
 
 
+class TestGridShapeContract:
+    """Layer 0's grid fixes the shape, (T, groups, C), that every layer's grid must have."""
+
+    @pytest.mark.parametrize("form", ["dense", "rows"])
+    def test_class_count_change_names_both_shapes(self, form):
+        speech, controls = make_inputs(4)
+
+        def shifty(context):
+            classes = 6 if context.layer_indicator else 5
+            row = np.full((1, classes), 1.0 / classes)
+            if form == "dense":
+                return np.broadcast_to(row, (4, 3, classes))
+            return RowGrid(row, np.zeros((4, 3), dtype=int))
+
+        with pytest.raises(
+            PredictorContractViolation,
+            match=r"layer 1: grid shape \(4, 3, 6\), expected \(4, 3, 5\)",
+        ):
+            generate(shifty, np.zeros(2), speech, controls, num_layers=2, num_groups=3)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((), r"grid shape \(\), expected \(4, 3\)"),
+        ((4,), r"grid shape \(4,\), expected \(4, 3\)"),
+        ((4, 3), r"prediction grid must be \(T, G, C\), got shape \(4, 3\)"),
+        ((4, 3, 5, 1), r"grid shape \(4, 3, 5, 1\), expected \(4, 3, 5\)"),
+    ], ids=["0-d", "1-d", "2-d", "4-d"])
+    def test_grid_not_3d_at_layer_0(self, shape, message):
+        speech, controls = make_inputs(4)
+        with pytest.raises(PredictorContractViolation, match=f"^layer 0: {message}$"):
+            generate(lambda ctx: np.full(shape, 0.2), np.zeros(2), speech, controls,
+                     num_layers=2, num_groups=3)
+
+
 class TestGenerateValidatesOnce:
     """generate() validates each grid once and scores that same array."""
 

@@ -215,6 +215,17 @@ CASES = {
     "fsq_dequantize code count": (
         lambda _: fsq_dequantize([0, 0, 0], LevelSpec((5, 5))), InvalidCode, "expected 2 codes",
     ),
+    "LevelSpec int levels": (lambda _: LevelSpec(5), InvalidConfig, "levels must be a sequence"),
+    "LevelSpec None levels": (
+        lambda _: LevelSpec(None), InvalidConfig, "levels must be a sequence",
+    ),
+    "GrfsqConfig tuple level_spec": (
+        lambda _: GrfsqConfig(2, 2, (5, 5), 2), InvalidConfig, "level_spec must be a LevelSpec",
+    ),
+    "GrfsqConfig int projections": (
+        lambda _: GrfsqConfig(2, 2, LevelSpec((5, 5)), 2, projections=5),
+        InvalidConfig, "projections must be a sequence",
+    ),
     "GrfsqConfig == non-config": (lambda _: CFG == "config", False, None),
     # compared by identity, as a generated __eq__ would compare its arrays
     "ReconstructionReport == its twin": (
