@@ -19,7 +19,8 @@ from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utiliz
 
 SCHEMES = ("vq", "gvq", "rvq", "grvq")
 
-_CHUNK = 2048
+_CELLS = 1 << 16  # distance values per `_assign` block, groups x rows x k: 512 KB
+_MIN_ROWS = 64  # rows per `_assign` block, summed over its groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,9 +71,17 @@ class BaselineConfig:
 
 def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest centroid per row of each group, (G, n, d) x (G, k, d) -> (G, n),
-    by expanded squared distance c2 - 2 x.c; ties -> lowest index. Blocks of
-    _CHUNK / G rows reuse one (G, rows, k) distance buffer of about _CHUNK x k
-    values."""
+    by expanded squared distance c2 - 2 x.c; ties -> lowest index.
+
+    Blocks of max(ceil(_MIN_ROWS / G), _CELLS // (G k)) rows per group reuse
+    one (G, rows, k) distance buffer. It holds at most _CELLS = 2**16 values
+    (512 KB) unless the floor of _MIN_ROWS rows per block, summed over the
+    groups, binds (from k > 1024 for one group), and then at most
+    ceil(64 / G) G k <= (G + 63) k values: the floor keeps each matmul wide
+    enough for BLAS at large k. So the buffer never grows with the row count
+    and grows with k only past the floor. The reference tests compare the
+    labels with those of 2048-row blocks.
+    """
     G, n, _ = data.shape
     k = centers.shape[1]
     labels = np.empty((G, n), dtype=np.int64)
@@ -81,7 +90,7 @@ def _assign(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     if not np.isfinite(c2).all():  # c2 - 2 x.c would be inf - inf
         raise InvalidInput("frames too large: k-means distances overflow float64")
     centers_t = centers.transpose(0, 2, 1)
-    step = max(1, _CHUNK // G)
+    step = max(-(-_MIN_ROWS // G), _CELLS // (G * k))
     buf = np.empty(G * min(step, n) * k)
     for s in range(0, n, step):
         block = data[:, s : s + step]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -109,7 +110,7 @@ def _write_block(fh, block: np.ndarray, old_bits: np.ndarray, old_text: np.ndarr
 
 def _parse_levels(text: str) -> LevelSpec:
     try:
-        levels = tuple(int(part) for part in text.split(","))
+        levels = tuple(int(part) for part in _numerals(text).split(","))
     except ValueError:
         raise InvalidConfig(f"levels must be a comma list of integers, got {text!r}") from None
     return LevelSpec(levels)
@@ -120,12 +121,24 @@ def _resolve_seed(value) -> int:
     if value is None:
         text = os.environ.get("GRFQ_SEED", "0")
         try:
-            value = int(text)
+            value = int(_numerals(text))
         except ValueError:
             raise InvalidConfig(f"GRFQ_SEED must be an integer, got {text!r}") from None
     return _checked_int(value, "seed", InvalidConfig)
 
 
+def _flag_type(parse):
+    """`parse` (int or float) behind `_numerals`, as an argparse type: a
+    refused flag value is argparse's usage error, named by `parse`'s name."""
+
+    def flag(text: str):
+        return parse(_numerals(text))
+
+    flag.__name__ = parse.__name__
+    return flag
+
+
+_INT, _FLOAT = _flag_type(int), _flag_type(float)
 _PACKING_MODES = {name: mode for mode, name in bitstream.PACKING_MODE_NAMES.items()}
 
 
@@ -277,6 +290,11 @@ def cmd_ablate(args) -> int:
 
     # every scheme's flags are checked before the first codebook is fit
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
+    # so is a codebook path that is not a directory: `os.makedirs` would refuse it
+    # only after every fit. A grfsq-only run writes no codebook.
+    save = args.save_codebooks
+    if save and schemes != ["grfsq"] and os.path.lexists(save) and not os.path.isdir(save):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), save)
     rows, blobs = [], {}
     for scheme, (cfg, bps) in zip(schemes, configs):
         if scheme == "grfsq":
@@ -409,14 +427,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_quantizer_flags(p):
-        p.add_argument("--groups", type=int, default=DEFAULT_GROUPS)
-        p.add_argument("--residuals", type=int, default=DEFAULT_RESIDUALS)
+        p.add_argument("--groups", type=_INT, default=DEFAULT_GROUPS)
+        p.add_argument("--residuals", type=_INT, default=DEFAULT_RESIDUALS)
         p.add_argument(
             "--levels", default=",".join(str(l) for l in DEFAULT_LEVELS),
             help="comma list of per-dimension level counts",
         )
-        p.add_argument("--fps", type=float, default=DEFAULT_FPS)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--fps", type=_FLOAT, default=DEFAULT_FPS)
+        p.add_argument("--seed", type=_INT, default=None)
 
     enc = sub.add_parser("encode", help="quantize frames into a .grfq stream")
     enc.add_argument("input")
@@ -440,17 +458,17 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("input")
     add_quantizer_flags(abl)
     abl.add_argument("--schemes", default="vq,gvq,rvq,grvq,grfsq")
-    abl.add_argument("--vq-k", type=int, default=8196)
-    abl.add_argument("--gvq-groups", type=int, default=32)
-    abl.add_argument("--gvq-k", type=int, default=1024)
-    abl.add_argument("--rvq-residuals", type=int, default=32)
-    abl.add_argument("--rvq-k", type=int, default=1024)
-    abl.add_argument("--grvq-groups", type=int, default=12)
-    abl.add_argument("--grvq-residuals", type=int, default=4)
-    abl.add_argument("--grvq-k", type=int, default=1024)
-    abl.add_argument("--kmeans-iters", type=int, default=8)
+    abl.add_argument("--vq-k", type=_INT, default=8196)
+    abl.add_argument("--gvq-groups", type=_INT, default=32)
+    abl.add_argument("--gvq-k", type=_INT, default=1024)
+    abl.add_argument("--rvq-residuals", type=_INT, default=32)
+    abl.add_argument("--rvq-k", type=_INT, default=1024)
+    abl.add_argument("--grvq-groups", type=_INT, default=12)
+    abl.add_argument("--grvq-residuals", type=_INT, default=4)
+    abl.add_argument("--grvq-k", type=_INT, default=1024)
+    abl.add_argument("--kmeans-iters", type=_INT, default=8)
     abl.add_argument(
-        "--holdout", type=float, default=0.0,
+        "--holdout", type=_FLOAT, default=0.0,
         help="fraction of trailing frames metrics are computed on (fit on the rest)",
     )
     abl.add_argument("--format", choices=("json", "csv"), default="json")
@@ -462,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--controls", required=True, help="JSON-lines h/g/b records")
     sim.add_argument("--out", required=True, help="output .grfq token stream")
     add_quantizer_flags(sim)
-    sim.add_argument("--vocab", type=int, default=DEFAULT_SPEECH_VOCAB)
+    sim.add_argument("--vocab", type=_INT, default=DEFAULT_SPEECH_VOCAB)
     sim.add_argument("--predictor", choices=("uniform", "bigram"), default="uniform")
     sim.add_argument("--train-motion", help=".grfq stream of target tensors for bigram")
     sim.add_argument("--train-speech", help="speech tokens aligned with --train-motion")

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,21 @@ class TestEncode:
             _, recon = baseline_encode(data, cfg, books)
             errs.append(((data - recon) ** 2).mean())
         assert errs[0] > errs[1] > errs[2]
+
+    def test_peak_memory_does_not_grow_with_the_codebook(self):
+        # distance blocks are bounded by cells, not rows: 2048-row blocks
+        # took 2048 k float64 values, 64 and 128 MB at these sizes
+        rng = np.random.default_rng(78)
+        frames = rng.normal(size=(3000, 8))
+        for k in (4096, 8192):
+            books = [[Codebook(rng.normal(size=(k, 8)))]]
+            tracemalloc.start()
+            try:
+                baseline_encode(frames, BaselineConfig("vq", k), books)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20, k
 
     def test_dimension_mismatch(self):
         data = two_blobs()

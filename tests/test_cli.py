@@ -457,6 +457,27 @@ class TestAblate:
         assert "twice" in stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("schemes, expected", [("vq,grfsq", 4), ("grfsq", 0)])
+    def test_save_codebooks_to_a_file_exits_4_before_fitting(
+        self, capsys, monkeypatch, frames12, schemes, expected
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit before its directory was checked")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        before = frames12.read_bytes()
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, "--schemes", schemes,
+                                      "--save-codebooks", str(frames12))
+        )
+        assert code == expected, stderr
+        if expected:
+            assert stdout == ""
+            assert stderr == f"error: [Errno 17] File exists: '{frames12}'\n"
+        assert frames12.read_bytes() == before
+
     def test_save_codebooks(self, tmp_path, capsys, frames12):
         out_dir = tmp_path / "books"
         code, _, _ = run(
@@ -786,10 +807,14 @@ class TestScheduleSim:
     ("encode", "{frames}", "{out}", "--levels", "5,x"),
     ("ablate", "{frames}", "--schemes", "grfsq", "--holdout", "1.0"),
     ("ablate", "{frames}", "--schemes", "grfsq", "--holdout", "0.001"),  # 0 of 40 frames held out
+    # int() reads both, as levels (55, 5) and (5, 5); a level list allows neither
+    ("encode", "{frames}", "{out}", "--groups", "24", "--levels", "5_5,5"),
+    ("encode", "{frames}", "{out}", "--groups", "24", "--levels", "\u0665,\u0665"),
 ], ids=["encode-groups-0", "ablate-groups-0", "ablate-no-schemes-csv", "ablate-no-schemes-json",
         "ablate-kmeans-iters-negative", "ablate-rvq-residuals-huge",
         "ablate-grfsq-residuals-huge", "encode-levels-not-integers", "ablate-holdout-1",
-        "ablate-holdout-empty-eval"])
+        "ablate-holdout-empty-eval", "encode-levels-digit-separator",
+        "encode-levels-non-ascii-digit"])
 def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 40)
     paths = {"frames": frames48[0], "out": tmp_path / "x.grfq",
@@ -798,6 +823,38 @@ def test_bad_arguments_exit_3_without_output(argv, tmp_path, capsys, frames48):
     assert code == 3, stderr
     assert stderr.startswith("error: ")
     assert stdout == ""
+    assert not (tmp_path / "x.grfq").exists()
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (("encode", "{frames}", "{out}", "--groups", "\u0664"),
+     "--groups: invalid int value: '\u0664'"),
+    (("encode", "{frames}", "{out}", "--residuals", "1_0"),
+     "--residuals: invalid int value: '1_0'"),
+    (("encode", "{frames}", "{out}", "--fps", "2_5"), "--fps: invalid float value: '2_5'"),
+    (("ablate", "{frames}", "--schemes", "grfsq", "--seed", "\u0661"),
+     "--seed: invalid int value: '\u0661'"),
+    (("ablate", "{frames}", "--schemes", "vq", "--vq-k", "1_6"),
+     "--vq-k: invalid int value: '1_6'"),
+    (("ablate", "{frames}", "--schemes", "grfsq", "--holdout", "0.2_5"),
+     "--holdout: invalid float value: '0.2_5'"),
+    (("schedule-sim", "--speech", "{speech}", "--controls", "{controls}", "--out", "{out}",
+      "--vocab", "6_4"), "--vocab: invalid int value: '6_4'"),
+], ids=["groups-non-ascii-digit", "residuals-digit-separator", "fps-digit-separator",
+        "seed-non-ascii-digit", "vq-k-digit-separator", "holdout-digit-separator",
+        "vocab-digit-separator"])
+def test_flag_numerals_follow_the_text_rule(argv, refusal, tmp_path, capsys, frames48):
+    # int() and float() read `_` separators and every Unicode decimal digit
+    speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 40)
+    paths = {"frames": frames48[0], "out": tmp_path / "x.grfq",
+             "speech": speech, "controls": controls}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.startswith("usage: ")
+    assert captured.err.endswith(f"error: argument {refusal}\n")
+    assert captured.out == ""
     assert not (tmp_path / "x.grfq").exists()
 
 
@@ -1093,6 +1150,19 @@ class TestDeterminism:
                                    "--vq-k", "2", "--groups", "1", "--levels", "5,5,5,5")
         assert code == 3
         assert "GRFQ_SEED" in stderr
+        assert stdout == ""
+
+    @pytest.mark.parametrize("env", ["1_0", "\u0661"],
+                             ids=["digit-separator", "non-ascii-digit"])
+    def test_env_seed_numerals_exit_3(self, tmp_path, capsys, monkeypatch, env):
+        # int() reads both, as seeds 10 and 1
+        path = tmp_path / "frames.jsonl"
+        write_jsonl_frames(path, np.zeros((8, 4)))
+        monkeypatch.setenv("GRFQ_SEED", env)
+        code, stdout, stderr = run(capsys, "ablate", str(path), "--schemes", "grfsq",
+                                   "--groups", "1", "--levels", "5,5,5,5")
+        assert code == 3
+        assert stderr == f"error: GRFQ_SEED must be an integer, got {env!r}\n"
         assert stdout == ""
 
     @pytest.mark.parametrize("flag, env", [(("--seed", "-1"), "0"), ((), "-7")],

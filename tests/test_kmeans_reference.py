@@ -48,11 +48,22 @@ def test_grid_matches_per_group_reference(groups, residuals):
                 _assert_grids_equal(data, cfg)
 
 
-@pytest.mark.parametrize("groups, n", [(12, 2 * (2048 // 12) + 1), (3, 2 * (2048 // 3) + 36)])
-def test_rows_span_several_blocks(groups, n):
-    assert n > baselines._CHUNK // groups
+def _block_rows(groups: int, k: int) -> int:
+    """Rows per group in one `_assign` block, by the rule its docstring states."""
+    return max(-(-baselines._MIN_ROWS // groups), baselines._CELLS // (groups * k))
+
+
+@pytest.mark.parametrize("groups, k, n", [
+    # the cell budget binds; ragged last blocks of 1 and 36 rows
+    (12, 12, 2 * _block_rows(12, 12) + 1),
+    (3, 12, 2 * _block_rows(3, 12) + 36),
+    # the row floor binds: blocks of 22 rows per group, where the budget gives 21
+    (3, 1000, 47 * _block_rows(3, 1000) + 5),
+])
+def test_rows_span_several_blocks(groups, k, n):
+    assert n > _block_rows(groups, k) and n % _block_rows(groups, k)
     data = _data(n, groups * 3, n // 2, 40 + groups)
-    _assert_grids_equal(data, BaselineConfig("grvq", 12, groups=groups, residuals=2, seed=3))
+    _assert_grids_equal(data, BaselineConfig("grvq", k, groups=groups, residuals=2, seed=3))
 
 
 @pytest.mark.parametrize("groups, residuals, dim", [(1, 1, 48), (1, 3, 48), (3, 2, 16)])
@@ -84,6 +95,8 @@ def test_assign_is_nearest_centroid_per_group():
     (40, 5, 6, 0, 40),
     (300, 48, 24, 8, 300),
     (200, 48, 60, 8, 50),
+    (1000, 3, 100, 8, 1000),  # blocks of 655 rows, as the cell budget allows
+    (2200, 4, 1100, 2, 2200),  # blocks of 64 rows, the floor, where the budget allows 59
 ])
 def test_kmeans_fit_is_the_one_group_case(n, dim, k, iters, distinct):
     data = _data(n, dim, distinct, n + k)
