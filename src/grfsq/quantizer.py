@@ -258,15 +258,15 @@ def _refuse_overflow(errors: np.ndarray) -> None:
 def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     """Fit per-group orthonormal projections by PCA over calibration frames.
 
-    Each group keeps the top ``level_spec.d`` covariance eigenvectors in
-    descending eigenvalue order, every axis oriented so its
-    largest-magnitude component is positive. Matrices are rounded to single
-    precision so they survive stream headers losslessly.
+    Each group keeps the top ``level_spec.d`` covariance eigenvectors, largest
+    first, each oriented so its largest-magnitude component is positive; that
+    takes d + 1 frames, as centering leaves T frames rank T - 1. Matrices are
+    rounded to single precision so they survive stream headers losslessly.
     """
     arr = _frames_array(calibration, cfg.total_dim)
     d, dg = cfg.level_spec.d, cfg.group_dim
-    if arr.shape[0] < d:
-        raise InvalidInput(f"need at least {d} calibration frames, got {arr.shape[0]}")
+    if arr.shape[0] < (need := d + (dg > d)):
+        raise InvalidInput(f"need at least {need} calibration frames, got {arr.shape[0]}")
     if dg == d:
         eye = np.broadcast_to(np.eye(d), (cfg.num_groups, d, d))
         return dataclasses.replace(cfg, projections=eye)
@@ -276,21 +276,16 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
         block = arr[:, g * dg : (g + 1) * dg]
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             centered = block - block.mean(axis=0)
-            cov = centered.T @ centered / max(arr.shape[0] - 1, 1)
+            cov = centered.T @ centered / (arr.shape[0] - 1)
         _refuse_overflow(cov)  # eigh does not converge on inf or NaN
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals)[::-1]
-        top = eigvals[order[:d]]
-        tol = max(eigvals.max(), 0.0) * 1e-9 + 1e-300
-        if top[-1] <= tol:
+        eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+        if eigvals[-d] <= max(eigvals[-1], 0.0) * 1e-9 + 1e-300:
             raise DegenerateCalibration(
                 f"group {g} covariance rank below {d}; cannot calibrate"
             )
-        axes = eigvecs[:, order[:d]].T  # rows are principal axes
-        for row in axes:
-            if row[np.argmax(np.abs(row))] < 0:
-                row *= -1.0
-        downs[g] = axes.astype(np.float32)
+        axes = eigvecs[:, : -d - 1 : -1].T  # rows are principal axes, largest first
+        peaks = axes[np.arange(d), np.abs(axes).argmax(axis=1)]
+        downs[g] = (axes * np.where(peaks < 0, -1.0, 1.0)[:, None]).astype(np.float32)
     return dataclasses.replace(cfg, projections=downs)
 
 

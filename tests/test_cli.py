@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import struct
 import tracemalloc
 import warnings
@@ -476,6 +477,30 @@ class TestAblate:
         if expected:
             assert stdout == ""
             assert stderr == f"error: [Errno 17] File exists: '{frames12}'\n"
+        assert frames12.read_bytes() == before
+
+    @pytest.mark.parametrize("under", ["books", "books/run"])
+    def test_save_codebooks_under_a_file_exits_4_before_fitting(
+        self, capsys, monkeypatch, frames12, under
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit before its directory was checked")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        before = frames12.read_bytes()
+        save = f"{frames12}/{under}"
+        # the error line `os.makedirs` gives, which creates nothing under a file
+        with pytest.raises(NotADirectoryError) as refused:
+            os.makedirs(save, exist_ok=True)
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, "--schemes", "vq,grfsq", "--save-codebooks", save)
+        )
+        assert code == 4, stderr
+        assert stdout == ""
+        assert stderr == f"error: {refused.value}\n"
+        assert stderr == f"error: [Errno 20] Not a directory: '{frames12}/books'\n"
         assert frames12.read_bytes() == before
 
     def test_save_codebooks(self, tmp_path, capsys, frames12):

@@ -34,6 +34,8 @@ from grfsq.quantizer import (
     utilization,
 )
 
+from reference_calibration import reference_calibrate_projections
+
 SPEC5x4 = LevelSpec(DEFAULT_LEVELS)
 
 
@@ -511,6 +513,16 @@ class TestCalibration:
         with pytest.raises(InvalidInput):
             calibrate_projections(np.zeros((1, 4)), cfg)
 
+    @pytest.mark.parametrize("d, group_dim", [(1, 3), (2, 4), (4, 6)])
+    def test_needs_one_frame_past_d(self, d, group_dim):
+        # centering leaves d frames at rank d - 1, so they can never give d axes
+        cfg = GrfsqConfig(1, 1, LevelSpec((5,) * d), group_dim, (np.eye(d, group_dim),))
+        data = np.random.default_rng(16).normal(size=(d + 1, group_dim))
+        too_few = rf"^need at least {d + 1} calibration frames, got {d}$"
+        with pytest.raises(InvalidInput, match=too_few):
+            calibrate_projections(data[:d], cfg)
+        assert calibrate_projections(data, cfg).projections.shape == (1, d, group_dim)
+
     def test_deterministic_and_single_precision(self):
         rng = np.random.default_rng(14)
         data = rng.normal(size=(300, 10))
@@ -528,6 +540,48 @@ class TestCalibration:
         out = calibrate_projections(data, cfg)
         gram = out.projections[0] @ out.projections[0].T
         assert np.allclose(gram, np.eye(3), atol=1e-6)
+
+
+def calibration_outcome(calibrate, frames, cfg):
+    try:
+        return calibrate(frames, cfg).projections
+    except (InvalidInput, DegenerateCalibration) as exc:
+        return type(exc), str(exc)
+
+
+class TestCalibrationMatchesReference:
+    """`calibrate_projections` reads the top d axes from the end of `eigh`'s
+    ascending order and orients them in one array step; the per-axis reference
+    sorts and orients them one at a time. Continuous and wide integer draws keep
+    exact eigenvalue ties, whose order the reference leaves to `np.argsort`, out."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_identical_projections_and_refusals(self, seed):
+        rng = np.random.default_rng([2028, seed])
+        for case in range(10):
+            groups, d = int(rng.integers(1, 13)), int(rng.integers(1, 5))
+            group_dim = int(rng.integers(d + 1, 21))  # past numpy's small-sort cutoff
+            frames = int(rng.integers(d + 1, 401))
+            cfg = GrfsqConfig(
+                groups, 1, LevelSpec((5,) * d), group_dim, (np.eye(d, group_dim),) * groups
+            )
+            shape = (frames, groups * group_dim)
+            if case % 3 == 2:
+                data = rng.integers(-1000, 1001, size=shape)
+            else:
+                scale = 10.0 ** rng.uniform(-3, 3)
+                data = rng.normal(size=shape) * scale * rng.uniform(0.1, 1.0, size=shape[1])
+            if case % 5 == 4:
+                g = int(rng.integers(groups))
+                data[:, g * group_dim : (g + 1) * group_dim] = data[0, g * group_dim]
+            for order in "CF":
+                arranged = np.asarray(data, order=order)
+                got = calibration_outcome(calibrate_projections, arranged, cfg)
+                want = calibration_outcome(reference_calibrate_projections, arranged, cfg)
+                if isinstance(want, tuple):
+                    assert isinstance(got, tuple) and got == want
+                else:
+                    assert np.array_equal(got, want)
 
 
 class TestBitrate:
