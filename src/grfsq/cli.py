@@ -290,14 +290,14 @@ def cmd_ablate(args) -> int:
 
     # every scheme's flags are checked before the first codebook is fit
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
-    # so is the codebook path `os.makedirs` would refuse only after every fit: one
-    # that, or whose nearest existing ancestor, is not a directory. A grfsq-only run writes none.
+    # so is a codebook path `os.makedirs` would refuse after every fit: one whose nearest
+    # existing node, a link to nothing too, is no directory. A grfsq-only run writes none.
     missing, node = None, args.save_codebooks if schemes != ["grfsq"] else None
-    exists = os.path.lexists  # for the path itself; makedirs follows links above it
-    while node and not exists(node.rstrip(os.sep) or node):
-        missing, node, exists = node, os.path.dirname(node.rstrip(os.sep)), os.path.exists
+    while node and not os.path.lexists(node.rstrip(os.sep) or node):
+        missing, node = node, os.path.dirname(node.rstrip(os.sep))
     if node and not os.path.isdir(node):
-        code = errno.ENOTDIR if missing else errno.EEXIST
+        code = errno.ENOTDIR if os.path.exists(node) else errno.ENOENT
+        code = code if missing else errno.EEXIST
         raise OSError(code, os.strerror(code), missing or node)
     rows, blobs = [], {}
     for scheme, (cfg, bps) in zip(schemes, configs):

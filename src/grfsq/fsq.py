@@ -153,20 +153,19 @@ def bound(z, spec: LevelSpec) -> np.ndarray:
 
 
 def _nearest_codes(y: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Nearest grid code for bounded values of shape (..., d), ties to the larger code.
+    """Nearest grid code for values of shape (..., d) in [-1, 1], ties to the larger code.
 
-    A rounded first guess is refined against the float grid values of its
-    neighbors so the result is always the true argmin of |y - value(k)|.
+    Only lo = floor(u), u = fl((y + 1)(L - 1)/2), and lo + 1 are compared by
+    float distance. u is within a few ulps of the exact u*, whose nearest code
+    is floor(u*) or floor(u*) + 1; floor(u) != floor(u*) only when u* is within
+    rounding of an integer, which is then nearest and is lo or lo + 1. Float
+    distances of non-adjacent codes differ by >= 2/(L - 1), so ties are adjacent.
     """
     half = levels - 1.0
-    k0 = np.floor((y + 1.0) * half / 2.0 + 0.5)
-    cands = np.stack([k0 + 1.0, k0, k0 - 1.0])
-    np.clip(cands, 0.0, half, out=cands)
-    dist = np.abs(_grid_values(cands, levels) - y)
-    # candidates are ordered largest-first, and argmin keeps the first
-    # minimum, so exact ties resolve to the larger code
-    pick = np.argmin(dist, axis=0)
-    return np.take_along_axis(cands, pick[None], axis=0)[0].astype(np.int64)
+    lo = np.clip(np.floor((y + 1.0) * half / 2.0), 0.0, half)
+    hi = np.minimum(lo + 1.0, half)
+    up = np.abs(_grid_values(hi, levels) - y) <= np.abs(_grid_values(lo, levels) - y)
+    return np.where(up, hi, lo).astype(np.int64)
 
 
 def _flatten(codes, spec: LevelSpec) -> np.ndarray:

@@ -503,6 +503,31 @@ class TestAblate:
         assert stderr == f"error: [Errno 20] Not a directory: '{frames12}/books'\n"
         assert frames12.read_bytes() == before
 
+    @pytest.mark.parametrize("under", ["books", "books/run", "books/"])
+    def test_save_codebooks_under_a_link_to_nothing_exits_4_before_fitting(
+        self, tmp_path, capsys, monkeypatch, frames12, under
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit before its directory was checked")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        link = tmp_path / "dangling"
+        link.symlink_to(tmp_path / "missing")
+        save = f"{link}/{under}"
+        # the error line `os.makedirs` gives, which creates nothing behind the link
+        with pytest.raises(FileNotFoundError) as refused:
+            os.makedirs(save, exist_ok=True)
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, "--schemes", "vq,grfsq", "--save-codebooks", save)
+        )
+        assert code == 4, stderr
+        assert stdout == ""
+        assert stderr == f"error: {refused.value}\n"
+        assert stderr.startswith(f"error: [Errno 2] No such file or directory: '{link}/books")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "frames12.jsonl"]
+
     def test_save_codebooks(self, tmp_path, capsys, frames12):
         out_dir = tmp_path / "books"
         code, _, _ = run(

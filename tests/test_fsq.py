@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grfsq.errors import InvalidCode, InvalidConfig, InvalidIndex, InvalidInput, TooLarge
 from grfsq.fsq import (
     ENUMERATION_CAP,
     LevelSpec,
+    _grid_values,
+    _nearest_codes,
     bound,
     codes_to_index,
     enumerate_codebook,
@@ -18,6 +21,7 @@ from grfsq.fsq import (
     index_to_codes,
     ste_gradient,
 )
+from reference_snap import reference_nearest_codes
 
 SPEC5 = LevelSpec((5,))
 SPEC5x4 = LevelSpec((5, 5, 5, 5))
@@ -111,6 +115,65 @@ class TestFsqQuantize:
         a = fsq_quantize(z, SPEC5x4)
         b = fsq_quantize(z, SPEC5x4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def within_ulps(centers: np.ndarray, n: int) -> np.ndarray:
+    """Every float64 within n ulps of each center, as (centers, 2n + 1), kept to [-1, 1]."""
+    bits = centers.view(np.int64)
+    # order-preserving integer keys: a negative float's key is minus its magnitude bits
+    keys = np.where(bits < 0, -(bits & np.int64(2**63 - 1)), bits)[:, None] + np.arange(-n, n + 1)
+    bits = np.where(keys < 0, -keys | np.int64(-(2**63)), keys)
+    return np.clip(bits.view(np.float64), -1.0, 1.0)
+
+
+class TestNearestCodesMatchesReference:
+    """`_nearest_codes` compares only the two codes around each value; the
+    reference refines a rounded guess among three stacked candidates."""
+
+    def test_every_float_near_every_grid_value_and_midpoint(self):
+        for L in range(2, 256):
+            levels = np.array([float(L)])
+            grid = _grid_values(np.arange(L), levels)
+            centers = np.concatenate([grid, (grid[:-1] + grid[1:]) / 2.0, [-0.0, 0.0]])
+            y = within_ulps(centers, 64).reshape(-1, 1)
+            assert np.array_equal(_nearest_codes(y, levels), reference_nearest_codes(y, levels)), L
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 255])
+    def test_exact_midpoints_go_to_the_larger_code(self, L):
+        levels = np.array([float(L)])
+        grid = _grid_values(np.arange(L), levels)
+        y = within_ulps((grid[:-1] + grid[1:]) / 2.0, 64)
+        lo = np.arange(L - 1)[:, None]
+        tie = np.abs(_grid_values(lo + 1, levels) - y) == np.abs(_grid_values(lo, levels) - y)
+        assert tie.any(axis=1).sum() >= min(L - 1, 4)  # every L has exact float midpoints
+        codes = _nearest_codes(y[tie].reshape(-1, 1), levels)[:, 0]
+        assert np.array_equal(codes, np.broadcast_to(lo + 1, y.shape)[tie])
+
+    @given(
+        levels=st.lists(st.integers(2, 255), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_multi_dimension_specs(self, levels, data):
+        shape = (data.draw(st.integers(1, 40)), len(levels))
+        z = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-20, 20)))
+        unit = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1, 1)))
+        levels = np.array(levels, dtype=np.float64)
+        for y in (np.tanh(z), unit):
+            assert np.array_equal(_nearest_codes(y, levels), reference_nearest_codes(y, levels))
+
+    def test_memory_stays_below_seven_inputs(self):
+        # two candidate codes and their distances; three stacked candidates,
+        # their distances and the argmin peaked at about 10.8 inputs
+        y = np.tanh(np.random.default_rng(29).normal(0.0, 1.5, size=(256, 12, 4)))
+        levels = np.array([5.0, 7.0, 2.0, 255.0])
+        tracemalloc.start()
+        try:
+            _nearest_codes(y, levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * y.nbytes
 
 
 class TestFsqDequantize:
