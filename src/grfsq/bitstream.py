@@ -255,7 +255,7 @@ def _decode_header(source) -> StreamHeader:
     if proj_flag:
         n = groups * d * group_dim
         raw = np.frombuffer(_read_exact(source, 4 * n, "projections"), dtype="<f4")
-        projections = raw.astype(np.float64).reshape(groups, d, group_dim)
+        projections = raw.reshape(groups, d, group_dim)
     try:
         cfg = GrfsqConfig(
             num_groups=groups,

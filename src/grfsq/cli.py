@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import io
 import json
 import math
@@ -291,14 +290,14 @@ def cmd_ablate(args) -> int:
     # every scheme's flags are checked before the first codebook is fit
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
     # so is a codebook path `os.makedirs` would refuse after every fit: one whose nearest
-    # existing node, a link to nothing too, is no directory. A grfsq-only run writes none.
-    missing, node = None, args.save_codebooks if schemes != ["grfsq"] else None
+    # existing node, a link to nothing too, is no directory. Its first mkdir is on or under
+    # that node, so the call creates nothing and raises its own error. A grfsq-only run
+    # writes none.
+    node = args.save_codebooks if schemes != ["grfsq"] else None
     while node and not os.path.lexists(node.rstrip(os.sep) or node):
-        missing, node = node, os.path.dirname(node.rstrip(os.sep))
+        node = os.path.dirname(node.rstrip(os.sep))
     if node and not os.path.isdir(node):
-        code = errno.ENOTDIR if os.path.exists(node) else errno.ENOENT
-        code = code if missing else errno.EEXIST
-        raise OSError(code, os.strerror(code), missing or node)
+        os.makedirs(args.save_codebooks, exist_ok=True)
     rows, blobs = [], {}
     for scheme, (cfg, bps) in zip(schemes, configs):
         if scheme == "grfsq":
@@ -347,12 +346,14 @@ def cmd_ablate(args) -> int:
 def cmd_schedule_sim(args) -> int:
     from . import generation  # only schedule-sim runs the generation harness
 
-    # every stream, shape and vocab limit is checked before any input is read or generated
+    # every stream, shape and vocab limit and predictor flag is checked before any input is read
     header = _stream_header(args)
     if args.vocab < 1:
         raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
     if args.vocab > MAX_SPEECH_VOCAB:  # tokens must stay exact in the float context
         raise InvalidConfig(f"--vocab must be at most 2**53, got {args.vocab}")
+    if args.predictor == "bigram" and not (args.train_motion and args.train_speech):
+        raise InvalidConfig("--predictor bigram needs --train-motion and --train-speech")
     cfg = header.config
     num_classes = cfg.codebook_size
     if num_classes > ENUMERATION_CAP:  # each predictor builds rows of one probability per class
@@ -362,10 +363,6 @@ def cmd_schedule_sim(args) -> int:
     if args.predictor == "uniform":
         predictor = generation.UniformPredictor(num_classes)
     else:
-        if not args.train_motion or not args.train_speech:
-            raise InvalidConfig(
-                "--predictor bigram needs --train-motion and --train-speech"
-            )
         with open(args.train_motion, "rb") as fh:
             train_header, train_tokens = bitstream.read_stream(fh)
         train_cfg = train_header.config

@@ -37,7 +37,8 @@ _CHUNK = 256  # frames per batched encode or decode; bounds their temporaries
 
 
 def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
-    """Per-group projections as one read-only (groups, d, group_dim) float64 array."""
+    """Per-group projections as one read-only (groups, d, group_dim) float64
+    array, rounded to single precision as a stream header stores them."""
     try:
         mats = iter(mats)
     except TypeError:
@@ -50,8 +51,9 @@ def _as_projections(mats, groups: int, d: int, group_dim: int) -> np.ndarray:
             raise InvalidConfig(
                 f"projection {g} must have shape ({d}, {group_dim}), got {m.shape}"
             )
-    stack = np.stack(mats)
-    gram = stack @ stack.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry past float32 fails below
+        stack = np.stack(mats).astype(np.float32).astype(np.float64)
+        gram = stack @ stack.transpose(0, 2, 1)
     bad = ~np.isclose(gram, np.eye(d), atol=_ORTHO_TOL).all(axis=(1, 2))
     if bad.any():
         raise InvalidConfig(f"projection {bad.argmax()} rows are not orthonormal")
@@ -260,8 +262,7 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
 
     Each group keeps the top ``level_spec.d`` covariance eigenvectors, largest
     first, each oriented so its largest-magnitude component is positive; that
-    takes d + 1 frames, as centering leaves T frames rank T - 1. Matrices are
-    rounded to single precision so they survive stream headers losslessly.
+    takes d + 1 frames, as centering leaves T frames rank T - 1.
     """
     arr = _frames_array(calibration, cfg.total_dim)
     d, dg = cfg.level_spec.d, cfg.group_dim
@@ -285,7 +286,7 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
             )
         axes = eigvecs[:, : -d - 1 : -1].T  # rows are principal axes, largest first
         peaks = axes[np.arange(d), np.abs(axes).argmax(axis=1)]
-        downs[g] = (axes * np.where(peaks < 0, -1.0, 1.0)[:, None]).astype(np.float32)
+        downs[g] = axes * np.where(peaks < 0, -1.0, 1.0)[:, None]
     return dataclasses.replace(cfg, projections=downs)
 
 

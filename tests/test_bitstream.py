@@ -22,7 +22,7 @@ from grfsq.bitstream import (
 )
 from grfsq.errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
 from grfsq.fsq import LevelSpec
-from grfsq.quantizer import GrfsqConfig
+from grfsq.quantizer import GrfsqConfig, grfsq_dequantize, quantize_sequence
 from reference_packer import reference_pack, reference_unpack
 
 DEFAULT = GrfsqConfig(12, 4, LevelSpec((5, 5, 5, 5)), 4)
@@ -250,6 +250,40 @@ class TestStreamRoundTrip:
         with pytest.raises(InvalidIndex):
             write_stream(header, tensor, sink)
         assert sink.getvalue() == b""
+
+
+class TestUnroundedProjections:
+    """A config holds its projections at the single precision a stream header
+    stores, even when built from float64 matrices, so the header reads back
+    equal and a decode of the stream equals the encoder's reconstruction."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_header_and_decode_survive_the_stream(self, data):
+        levels = tuple(data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+        d = len(levels)
+        G, R = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        group_dim = d + data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        downs = tuple(
+            np.linalg.qr(rng.normal(size=(group_dim, group_dim)))[0][:, :d].T for _ in range(G)
+        )
+        cfg = GrfsqConfig(G, R, LevelSpec(levels), group_dim, downs)
+        T = data.draw(st.integers(1, 32))
+        tokens, recon, _ = quantize_sequence(rng.uniform(-3, 3, size=(T, cfg.total_dim)), cfg)
+        mode = data.draw(st.sampled_from([MODE_MIXED_RADIX, MODE_FIXED_WIDTH]))
+        header = StreamHeader(cfg, T, 25.0, mode)
+        _, got_header, got_tokens = roundtrip_stream(header, tokens)
+        assert got_header == header
+        assert np.array_equal(grfsq_dequantize(got_tokens, got_header.config), recon)
+        assert np.array_equal(cfg.projections, cfg.projections.astype(np.float32))
+
+    @pytest.mark.parametrize("big", [1e39, 1e200])
+    def test_entry_past_single_precision_is_not_orthonormal(self, big):
+        down = np.eye(2, 3)
+        down[0, 2] = big
+        with pytest.raises(InvalidConfig, match="not orthonormal"):
+            GrfsqConfig(1, 1, LevelSpec((3, 3)), 3, (down,))
 
 
 class TestReadCostBoundedByBytes:

@@ -528,6 +528,30 @@ class TestAblate:
         assert stderr.startswith(f"error: [Errno 2] No such file or directory: '{link}/books")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "frames12.jsonl"]
 
+    def test_save_codebooks_under_a_self_referencing_link_exits_4_before_fitting(
+        self, tmp_path, capsys, monkeypatch, frames12
+    ):
+        from grfsq import baselines
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a codebook was fit before its directory was checked")
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fail)
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        save = f"{loop}/books"
+        # the error line `os.makedirs` gives, which creates nothing behind the link
+        with pytest.raises(OSError) as refused:
+            os.makedirs(save, exist_ok=True)
+        code, stdout, stderr = run(
+            capsys, *self.ablate_args(frames12, "--schemes", "vq,grfsq", "--save-codebooks", save)
+        )
+        assert code == 4, stderr
+        assert stdout == ""
+        assert stderr == f"error: {refused.value}\n"
+        assert stderr == f"error: [Errno 40] Too many levels of symbolic links: '{save}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames12.jsonl", "loop"]
+
     def test_save_codebooks(self, tmp_path, capsys, frames12):
         out_dir = tmp_path / "books"
         code, _, _ = run(
@@ -843,6 +867,18 @@ class TestScheduleSim:
         )
         assert code == 3
         assert "train-motion" in stderr
+
+    def test_bigram_without_training_flags_exits_3_before_reading_input(self, tmp_path, capsys):
+        out = tmp_path / "x.grfq"
+        code, stdout, stderr = run(
+            capsys, "schedule-sim", "--speech", str(tmp_path / "nope.txt"),
+            "--controls", str(tmp_path / "nope.jsonl"), "--out", str(out),
+            "--predictor", "bigram",
+        )
+        assert code == 3, stderr
+        assert stdout == ""
+        assert stderr == "error: --predictor bigram needs --train-motion and --train-speech\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

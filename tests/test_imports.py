@@ -194,3 +194,24 @@ class TestLazyPackage:
             grfsq.no_such_name
         with pytest.raises(ImportError):
             exec("from grfsq import no_such_name", {})
+
+
+class TestNoUnusedImports:
+    """No module under `src/grfsq` imports a name it never reads; the repo has
+    no linter, so this keeps a name from outliving the code that used it."""
+
+    @staticmethod
+    def bound_names(tree: ast.Module) -> set[str]:
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names |= {alias.asname or alias.name for alias in node.names}
+        return names
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in (SRC / "grfsq").glob("*.py")))
+    def test_every_imported_name_is_used(self, module):
+        tree = ast.parse((SRC / "grfsq" / module).read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(self.bound_names(tree) - used) == []
