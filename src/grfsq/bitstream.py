@@ -139,7 +139,8 @@ def _pack_blocks(indices: np.ndarray, cfg: GrfsqConfig, mode: int) -> Iterator[b
 
 def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarray:
     """Invert `_pack_blocks` on whole blocks of `nbits` bits padded to bytes:
-    Python splits each block into pad bits and limbs, numpy unfolds and
+    numpy checks every block's pad bits, the low bits of its last byte, in
+    one step, Python splits each block into limbs, and numpy unfolds and
     checks each run. The first bad frame raises CorruptStream, nonzero
     padding before an index past the codebook range."""
     base, rev = _radix(cfg, mode)
@@ -152,28 +153,26 @@ def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarr
     top = base ** (count - (nlimbs - 1) * k)
     nbytes, pad = (nbits + 7) // 8, -nbits % 8
     frames = len(payload) // nbytes
+    bad_pad = np.frombuffer(payload, np.uint8)[nbytes - 1 :: nbytes] & ((1 << pad) - 1) != 0
     out = np.empty((frames, count), dtype=np.int64)
     step = max(1, _PACK_CELLS // count)
     for s in range(0, frames, step):
-        pads, limbs = [], []
+        limbs = []
         for t in range(s, min(s + step, frames)):
-            value = int.from_bytes(payload[t * nbytes : (t + 1) * nbytes], "big")
-            pads.append(value & ((1 << pad) - 1))
-            value >>= pad
+            value = int.from_bytes(payload[t * nbytes : (t + 1) * nbytes], "big") >> pad
             for _ in range(nlimbs - 1):
                 value, limb = divmod(value, limb_base)
                 limbs.append(limb)
             limbs.append(value)
-        rows = np.array(limbs, dtype=np.uint64).reshape(len(pads), nlimbs)
-        digits = _unflatten(rows, spec).reshape(len(pads), nlimbs * k)[:, :count]
-        bad_pad = np.array(pads, dtype=bool)
-        bad = bad_pad | (rows[:, -1] >= top) | (digits >= size).any(axis=1)
+        rows = np.array(limbs, dtype=np.uint64).reshape(-1, nlimbs)
+        digits = _unflatten(rows, spec).reshape(len(rows), nlimbs * k)[:, :count]
+        bad = bad_pad[s : s + step] | (rows[:, -1] >= top) | (digits >= size).any(axis=1)
         if bad.any():
-            t = int(bad.argmax())
+            t = s + int(bad.argmax())
             raise CorruptStream(
                 "nonzero padding bits" if bad_pad[t] else "packed index exceeds codebook range"
             )
-        out[s : s + len(pads)] = digits
+        out[s : s + step] = digits
     return (out[:, ::-1] if rev else out).reshape(frames, cfg.num_groups, cfg.num_residuals)
 
 

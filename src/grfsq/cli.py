@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -161,10 +160,11 @@ def _stream_header(
         projections = None
     elif allow_projection and group_dim > spec.d:
         projections = np.broadcast_to(np.eye(spec.d, group_dim), (groups, spec.d, group_dim))
-    else:
+    else:  # only encode has --calibrate, here not passed, and it fits only a wider group
+        hint = group_dim > spec.d and hasattr(args, "calibrate")
         raise InvalidConfig(
-            f"group dimension {group_dim} does not match grid dimension {spec.d}; "
-            "pass --calibrate to fit projections"
+            f"group dimension {group_dim} does not match grid dimension {spec.d}"
+            + ("; pass --calibrate to fit projections" if hint else "")
         )
     cfg = GrfsqConfig(
         num_groups=groups, num_residuals=args.residuals, level_spec=spec,
@@ -330,14 +330,9 @@ def cmd_ablate(args) -> int:
         with open(os.path.join(args.save_codebooks, name), "wb") as fh:
             fh.write(blob)
 
-    if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        print(buf.getvalue(), end="")
+    if args.format == "csv":  # no field needs quoting: fixed scheme names, ints and floats
+        lines = [rows[0].keys(), *(map(str, row.values()) for row in rows)]
+        print("".join(",".join(line) + "\r\n" for line in lines), end="")
     else:
         print(json.dumps(rows))
     return 0

@@ -176,8 +176,10 @@ def _flatten(codes, spec: LevelSpec) -> np.ndarray:
 def _unflatten(index, spec: LevelSpec) -> np.ndarray:
     """Per-dimension codes (..., d) of flat indices (...), as uint64."""
     idx = np.asarray(index, dtype=np.uint64)
-    strides = np.asarray(spec.strides, dtype=np.uint64)
-    return idx[..., None] // strides % np.asarray(spec.levels, dtype=np.uint64)
+    codes = np.empty(idx.shape + (spec.d,), dtype=np.uint64)
+    for j, level in enumerate(spec.levels):  # a scalar divisor takes numpy's fast path
+        idx, codes[..., j] = np.divmod(idx, np.uint64(level))
+    return codes
 
 
 def fsq_quantize(z, spec: LevelSpec) -> tuple[np.ndarray, np.ndarray]:

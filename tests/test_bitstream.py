@@ -121,7 +121,8 @@ class TestFramePack:
             tensor = rng.integers(0, 625, size=(12, 4))
             block = frame_pack(tensor, DEFAULT, mode)
             assert len(block) == frame_block_bytes(DEFAULT, mode)
-            assert np.array_equal(frame_unpack(block, DEFAULT, mode), tensor)
+            for view in (block, bytearray(block), memoryview(block)):
+                assert np.array_equal(frame_unpack(view, DEFAULT, mode), tensor)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
@@ -590,6 +591,30 @@ class TestBatchPackerMatchesReference:
 
         raw = self.corrupt(cfg, mode, 600, damage)
         with pytest.raises(CorruptStream, match="codebook range"):
+            read_stream(io.BytesIO(raw))
+
+    @pytest.mark.parametrize(
+        "cfg, mode",
+        [(DEFAULT, MODE_MIXED_RADIX), (PADDED_FIXED, MODE_FIXED_WIDTH)],
+        ids=["mixed-radix", "fixed-width"],
+    )
+    @pytest.mark.parametrize("first", ["padding", "range"])
+    def test_first_bad_frame_of_a_later_run_is_reported(self, cfg, mode, first):
+        # frames are unpacked in runs of `step`; both bad frames sit in run 2, so a
+        # frame's number in the stream differs from its place in its run
+        step = _PACK_CELLS // (cfg.num_groups * cfg.num_residuals)
+        bad = self.overflow(cfg, mode)
+        kinds = {2 * step + 3: first, 2 * step + 7: "range" if first == "padding" else "padding"}
+
+        def damage(block, t):
+            kind = kinds.get(t)
+            if kind is None:
+                return block
+            return self.set_padding(block) if kind == "padding" else bad
+
+        raw = self.corrupt(cfg, mode, 3 * step, damage)
+        match = "padding" if first == "padding" else "codebook range"
+        with pytest.raises(CorruptStream, match=match):
             read_stream(io.BytesIO(raw))
 
 

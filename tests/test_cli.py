@@ -277,6 +277,26 @@ class TestEncode:
         assert code == 3
         assert "calibrate" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["encode", "{frames}", "{out}", "--levels", "5,5,5,5,5", "--calibrate", "{frames}"],
+        ["ablate", "{frames}", "--schemes", "grfsq", "--levels", "5,5,5,5,5"],
+        ["ablate", "{frames}", "--schemes", "grfsq", "--groups", "6"],
+        ["encode", "{empty}", "{out}"],
+    ], ids=["encode-calibrated-narrow-group", "ablate-narrow-group", "ablate-wide-group",
+            "empty-rows"])
+    def test_group_grid_mismatch_without_calibrate_hint(self, tmp_path, capsys, frames48, argv):
+        # --calibrate fits only a group wider than the grid, and only encode has it
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("[]\n[]\n")
+        out = tmp_path / "x.grfq"
+        names = {"frames": frames48[0], "out": out, "empty": empty}
+        code, stdout, stderr = run(capsys, *(arg.format(**names) for arg in argv))
+        assert code == 3
+        assert stdout == ""
+        assert "does not match grid dimension" in stderr
+        assert "--calibrate" not in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("fps", ["0", "1e39"])
     def test_bad_fps_exits_3_without_output(self, tmp_path, capsys, frames48, fps):
         path, _ = frames48
@@ -432,6 +452,21 @@ class TestAblate:
         lines = stdout.strip().splitlines()
         assert lines[0].startswith("scheme,groups,residuals")
         assert len(lines) == 6
+
+    def test_csv_format_is_the_csv_module_output(self, capsys, frames12):
+        import csv
+
+        code, stdout, _ = run(capsys, *self.ablate_args(frames12, "--format", "csv"))
+        assert code == 0
+        code, rows_json, _ = run(capsys, *self.ablate_args(frames12))
+        assert code == 0
+        rows = json.loads(rows_json)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        assert stdout == buf.getvalue()
+        assert stdout.count("\r\n") == 6
 
     def test_unknown_scheme_exits_3(self, capsys, frames12):
         code, _, stderr = run(capsys, "ablate", str(frames12), "--schemes", "vq,magvit")

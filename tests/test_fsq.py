@@ -13,6 +13,7 @@ from grfsq.fsq import (
     LevelSpec,
     _grid_values,
     _nearest_codes,
+    _unflatten,
     bound,
     codes_to_index,
     enumerate_codebook,
@@ -246,6 +247,27 @@ class TestIndexBijection:
         spec = LevelSpec(tuple(levels))
         index = data.draw(st.integers(0, spec.codebook_size - 1))
         assert codes_to_index(index_to_codes(index, spec), spec) == index
+
+    @given(
+        levels=st.one_of(
+            st.lists(st.integers(2, 255), min_size=1, max_size=8),  # 255**8 < 2**64
+            st.lists(st.integers(235, 255), min_size=8, max_size=8),  # 2**63 < 235**8
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unflatten_matches_stride_formula(self, levels, data):
+        spec = LevelSpec(tuple(levels))
+        shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+        index = data.draw(
+            hnp.arrays(np.uint64, shape, elements=st.integers(0, spec.codebook_size - 1))
+        )
+        # the reference: each digit is the index over its place value, modulo its level count
+        strides = np.asarray(spec.strides, dtype=np.uint64)
+        want = index[..., None] // strides % np.asarray(spec.levels, dtype=np.uint64)
+        got = _unflatten(index, spec)
+        assert got.dtype == np.uint64 and got.shape == shape + (spec.d,)
+        assert np.array_equal(got, want)
 
 
 class TestSteGradient:
