@@ -466,7 +466,6 @@ class TestAblate:
         writer.writeheader()
         writer.writerows(rows)
         assert stdout == buf.getvalue()
-        assert stdout.count("\r\n") == 6
 
     def test_unknown_scheme_exits_3(self, capsys, frames12):
         code, _, stderr = run(capsys, "ablate", str(frames12), "--schemes", "vq,magvit")
