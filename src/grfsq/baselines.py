@@ -238,10 +238,10 @@ def fit_codebooks(frames, cfg: BaselineConfig) -> list[list[Codebook]]:
     seeds = seed_words(cfg.seed, cfg.groups * cfg.residuals)
     stages = []
     for r in range(cfg.residuals):
+        if stages:  # the residual left by the previous stage; none is left after the last
+            residual -= _gather(stages[-1], _assign(residual, stages[-1]))
         stage_seeds = seeds[r :: cfg.residuals]
-        centers = _kmeans(residual, cfg.codebook_size, cfg.kmeans_iters, stage_seeds)[0]
-        residual -= _gather(centers, _assign(residual, centers))
-        stages.append(centers)
+        stages.append(_kmeans(residual, cfg.codebook_size, cfg.kmeans_iters, stage_seeds)[0])
     return [[Codebook(stage[g]) for stage in stages] for g in range(cfg.groups)]
 
 

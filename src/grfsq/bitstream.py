@@ -49,7 +49,6 @@ MODE_FIXED_WIDTH = 1
 PACKING_MODE_NAMES = {MODE_MIXED_RADIX: "mixed-radix", MODE_FIXED_WIDTH: "fixed-width"}
 _HEAD = struct.Struct("<4sBBBB")  # magic, version, groups, residuals, grid_dim
 _TAIL = struct.Struct("<HHIfBB")  # group_dim, total_dim, frame_count, fps, packing, projected
-_READ_CHUNK = 1 << 16  # largest single read request while decoding a header
 _PACK_CELLS = 1 << 12  # indices per numpy pass while packing or unpacking a payload
 
 
@@ -214,35 +213,29 @@ def _encode_header(header: StreamHeader) -> bytes:
     return raw
 
 
-def _read_exact(source, n: int, what: str) -> bytes:
-    """Read exactly n bytes, at most _READ_CHUNK per request, so a length taken
-    from a corrupted header never asks for more than the bytes present plus
-    one chunk."""
-    parts = []
-    remaining = n
-    while remaining:
-        buf = source.read(min(remaining, _READ_CHUNK))
-        if not buf:
-            break
-        parts.append(buf)
-        remaining -= len(buf)
-    data = b"".join(parts)
-    if len(data) != n:
-        raise CorruptStream(f"truncated {what}: wanted {n} bytes, got {len(data)}")
-    return data
+def _field(data, at: int, n: int, what: str):
+    """The n bytes of `data` from offset `at`, refused if fewer are present."""
+    field = data[at : at + n]
+    if len(field) != n:
+        raise CorruptStream(f"truncated {what}: wanted {n} bytes, got {len(field)}")
+    return field
 
 
-def _decode_header(source) -> StreamHeader:
+def _decode_header(source) -> tuple[StreamHeader, memoryview]:
+    """The header and a view of the bytes after it, read in three requests,
+    each checked before the next: the head, the levels and tail together (at
+    most 255 + 14 bytes), and the rest, whose projection block is sliced."""
     magic, version, groups, residuals, d = _HEAD.unpack(
-        _read_exact(source, _HEAD.size, "header")
+        _field(source.read(_HEAD.size), 0, _HEAD.size, "header")
     )
     if magic != MAGIC:
         raise CorruptStream(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != STREAM_VERSION:
         raise CorruptStream(f"unsupported version {version}")
-    levels = tuple(_read_exact(source, d, "levels"))
+    raw = source.read(d + _TAIL.size)
+    levels = tuple(_field(raw, 0, d, "levels"))
     group_dim, total_dim, frame_count, fps, packing_mode, proj_flag = _TAIL.unpack(
-        _read_exact(source, _TAIL.size, "header")
+        _field(raw, d, _TAIL.size, "header")
     )
     if proj_flag not in (0, 1):
         raise CorruptStream(f"invalid projection flag {proj_flag}")
@@ -250,11 +243,11 @@ def _decode_header(source) -> StreamHeader:
         raise CorruptStream(
             f"declared total_dim {total_dim} != groups*group_dim {groups * group_dim}"
         )
-    projections = None
+    rest = memoryview(source.read())
+    projections, at = None, 4 * groups * d * group_dim * proj_flag
     if proj_flag:
-        n = groups * d * group_dim
-        raw = np.frombuffer(_read_exact(source, 4 * n, "projections"), dtype="<f4")
-        projections = raw.reshape(groups, d, group_dim)
+        block = _field(rest, 0, at, "projections")
+        projections = np.frombuffer(block, dtype="<f4").reshape(groups, d, group_dim)
     try:
         cfg = GrfsqConfig(
             num_groups=groups,
@@ -268,7 +261,7 @@ def _decode_header(source) -> StreamHeader:
         )
     except InvalidConfig as exc:
         raise CorruptStream(f"invalid header: {exc}") from None
-    return header
+    return header, rest[at:]
 
 
 def write_stream(header: StreamHeader, tensor, sink) -> int:
@@ -294,15 +287,16 @@ def write_stream(header: StreamHeader, tensor, sink) -> int:
 def read_stream(source) -> tuple[StreamHeader, np.ndarray]:
     """Read a full stream; rejects truncation and trailing garbage.
 
-    The payload length is checked against the header before anything is
+    `source` is a buffered binary file, whose `read(n)` returns n bytes
+    unless the stream ends, as `open(path, "rb")` and `io.BytesIO` do. The
+    payload length is checked against the header before anything is
     sized from its frame count. The exact block width, a power of G*R
     digits, is computed only once the payload holds `frame_count` blocks of
     the width's cheap lower bound, `G*R*(bit_length(base) - 1)` bits, so a
     header's cost is bounded by the bytes present.
     """
-    header = _decode_header(source)
+    header, payload = _decode_header(source)
     cfg, mode, frames = header.config, header.packing_mode, header.frame_count
-    payload = source.read()
     nbits = cfg.num_groups * cfg.num_residuals * (_radix(cfg, mode)[0].bit_length() - 1)
     if frames and len(payload) >= frames * ((nbits + 7) // 8):
         nbits = frame_bits(cfg, mode)

@@ -178,16 +178,16 @@ def cmd_encode(args) -> int:
     # every stream limit is checked before calibrating or quantizing
     header = _stream_header(
         args, frames.shape[1], frames.shape[0], _PACKING_MODES[args.packing],
-        allow_projection=bool(args.calibrate),
+        allow_projection=args.calibrate is not None,
     )
     cfg = header.config
-    if args.calibrate:
+    if args.calibrate is not None:
         cfg = calibrate_projections(_load_frames(args.calibrate), cfg)
         header = dataclasses.replace(header, config=cfg)
     tokens, recon, report = quantize_sequence(frames, cfg)
     with open(args.output, "wb") as fh:
         payload_bytes = bitstream.write_stream(header, tokens, fh)
-    if args.recon_out:
+    if args.recon_out is not None:
         _write_frames(args.recon_out, recon)
 
     util = utilization(tokens, cfg)
@@ -291,12 +291,12 @@ def cmd_ablate(args) -> int:
     configs = [_ablate_config(args, scheme, seed, train) for scheme in schemes]
     # so is a codebook path `os.makedirs` would refuse after every fit: one whose nearest
     # existing node, a link to nothing too, is no directory. Its first mkdir is on or under
-    # that node, so the call creates nothing and raises its own error. A grfsq-only run
-    # writes none.
+    # that node, so the call creates nothing and raises its own error, as for an empty
+    # path. A relative walk ends at the working directory. A grfsq-only run writes none.
     node = args.save_codebooks if schemes != ["grfsq"] else None
     while node and not os.path.lexists(node.rstrip(os.sep) or node):
-        node = os.path.dirname(node.rstrip(os.sep))
-    if node and not os.path.isdir(node):
+        node = os.path.dirname(node.rstrip(os.sep)) or os.curdir
+    if node is not None and not os.path.isdir(node):
         os.makedirs(args.save_codebooks, exist_ok=True)
     rows, blobs = [], {}
     for scheme, (cfg, bps) in zip(schemes, configs):
@@ -307,7 +307,7 @@ def cmd_ablate(args) -> int:
             books = baselines.fit_codebooks(train, cfg)
             tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
             util = baselines.baseline_utilization(tokens, cfg)
-            if args.save_codebooks:
+            if args.save_codebooks is not None:
                 for g, row_books in enumerate(books):
                     for r, book in enumerate(row_books):
                         blobs[f"{scheme}_g{g}_r{r}.codebook"] = baselines.codebook_to_bytes(book)
@@ -347,7 +347,7 @@ def cmd_schedule_sim(args) -> int:
         raise InvalidConfig(f"--vocab must be positive, got {args.vocab}")
     if args.vocab > MAX_SPEECH_VOCAB:  # tokens must stay exact in the float context
         raise InvalidConfig(f"--vocab must be at most 2**53, got {args.vocab}")
-    if args.predictor == "bigram" and not (args.train_motion and args.train_speech):
+    if args.predictor == "bigram" and (args.train_motion is None or args.train_speech is None):
         raise InvalidConfig("--predictor bigram needs --train-motion and --train-speech")
     cfg = header.config
     num_classes = cfg.codebook_size

@@ -179,6 +179,36 @@ class TestEncode:
             errs.append(((data - recon) ** 2).mean())
         assert errs[0] > errs[1] > errs[2]
 
+    @pytest.mark.parametrize("residuals", [1, 2, 3])
+    def test_fit_assigns_only_between_stages(self, monkeypatch, residuals):
+        # with no Lloyd step the only assignments left are the residual updates
+        from grfsq import baselines
+
+        calls = []
+        assign = baselines._assign
+
+        def counted(data, centers):
+            calls.append(centers.shape)
+            return assign(data, centers)
+
+        monkeypatch.setattr(baselines, "_assign", counted)
+        cfg = BaselineConfig("rvq", 4, residuals=residuals, kmeans_iters=0, seed=13)
+        fit_codebooks(two_blobs(), cfg)
+        assert len(calls) == residuals - 1
+
+    def test_centroid_norm_overflow_refused_at_the_first_assignment(self):
+        # a one-stage fit with no Lloyd step assigns nothing, so encoding is
+        # the first to square the 1e160 centroids; a second stage's fit needs
+        # the first stage's assignment
+        frames = np.full((10, 4), 1e160)
+        one = BaselineConfig("rvq", 2, residuals=1, kmeans_iters=0, seed=14)
+        books = fit_codebooks(frames, one)
+        with pytest.raises(InvalidInput, match="k-means distances overflow float64"):
+            baseline_encode(frames, one, books)
+        two = BaselineConfig("rvq", 2, residuals=2, kmeans_iters=0, seed=14)
+        with pytest.raises(InvalidInput, match="k-means distances overflow float64"):
+            fit_codebooks(frames, two)
+
     def test_peak_memory_does_not_grow_with_the_codebook(self):
         # distance blocks are bounded by cells, not rows: 2048-row blocks
         # took 2048 k float64 values, 64 and 128 MB at these sizes

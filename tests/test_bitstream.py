@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grfsq.bitstream import (
     _PACK_CELLS,
-    _READ_CHUNK,
+    _TAIL,
     MODE_FIXED_WIDTH,
     MODE_MIXED_RADIX,
     STREAM_VERSION,
@@ -444,9 +444,10 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptStream, match=match):
             read_stream(reader)
         assert reader.requests
-        assert max(reader.requests) <= len(raw) + _READ_CHUNK
+        sized = [n for n in reader.requests if n is not None and n >= 0]
+        assert max(sized) <= 255 + _TAIL.size  # no request sized by a header field
 
-    def test_projection_block_read_in_chunks(self):
+    def test_projection_block_sliced_from_one_read(self):
         cfg = GrfsqConfig(1, 1, LevelSpec((3, 3)), 20000, (np.eye(2, 20000),))
         buf = io.BytesIO()
         write_stream(StreamHeader(config=cfg, frame_count=1, fps=25.0), np.zeros((1, 1, 1)), buf)
@@ -454,7 +455,34 @@ class TestCorruptionDetection:
         header, _ = read_stream(reader)
         assert header == StreamHeader(config=cfg, frame_count=1, fps=25.0)
         sized = [n for n in reader.requests if n is not None and n >= 0]
-        assert max(sized) == _READ_CHUNK  # 160 kB of projections, three requests
+        assert max(sized) <= 255 + _TAIL.size  # 160 kB of projections, none asked for by size
+
+    def test_bad_magic_refused_after_one_head_request(self):
+        raw = bytearray(self.make_stream())
+        raw[:4] = b"RIFF"
+        reader = RecordingReader(bytes(raw) + b"\xff" * 100_000)
+        with pytest.raises(CorruptStream, match="bad magic"):
+            read_stream(reader)
+        assert reader.requests == [8]
+
+    # DEFAULT: d = 4, so total_dim is the u16 at offset 14 and the
+    # projection flag the byte at offset 25, the last of the 26-byte header
+    @pytest.mark.parametrize(
+        "offset, value, match",
+        [
+            (14, struct.pack("<H", 47), "total_dim 47 != groups\\*group_dim 48"),
+            (25, b"\x02", "invalid projection flag 2"),
+        ],
+        ids=["total-dim-mismatch", "projection-flag-2"],
+    )
+    def test_bad_tail_field_refused_before_the_unsized_read(self, offset, value, match):
+        raw = bytearray(self.make_stream())
+        raw[offset : offset + len(value)] = value
+        reader = RecordingReader(bytes(raw))
+        with pytest.raises(CorruptStream, match=match):
+            read_stream(reader)
+        assert reader.requests == [8, 4 + _TAIL.size]
+        assert reader.tell() == 26  # the payload was never read
 
     def test_fps_field_offset_assumption(self):
         # guard for the offsets used above

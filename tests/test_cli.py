@@ -916,6 +916,35 @@ class TestScheduleSim:
 
 
 @pytest.mark.parametrize("argv", [
+    ("encode", "{wide}", "{out}", "--calibrate", ""),
+    ("encode", "{frames}", "{out}", "--recon-out", ""),
+    ("ablate", "{frames}", "--schemes", "vq", "--vq-k", "8", "--save-codebooks", ""),
+    ("schedule-sim", "--speech", "{speech}", "--controls", "{controls}", "--out", "{out}",
+     "--predictor", "bigram", "--train-motion", "", "--train-speech", "{speech}"),
+], ids=["encode-calibrate", "encode-recon-out", "ablate-save-codebooks",
+        "schedule-sim-train-motion"])
+def test_empty_path_flag_exits_4_as_a_missing_file(tmp_path, capsys, monkeypatch, frames48, argv):
+    # an empty path is a path passed, not a flag left out: it fails as `decode "" x.jsonl` does
+    from grfsq import baselines
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a codebook was fit before its directory was checked")
+
+    monkeypatch.setattr(baselines, "fit_codebooks", fail)
+    wide = tmp_path / "wide.jsonl"  # 96-wide frames need --calibrate under the default grid
+    write_jsonl_frames(wide, np.random.default_rng(66).uniform(-1, 1, size=(40, 96)))
+    speech, controls = TestScheduleSim().write_speech_and_controls(tmp_path, 10)
+    out = tmp_path / "x.grfq"
+    names = {"frames": frames48[0], "wide": wide, "speech": speech, "controls": controls,
+             "out": out}
+    code, stdout, stderr = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 4, stderr
+    assert stdout == ""
+    assert stderr == "error: [Errno 2] No such file or directory: ''\n"
+    assert out.exists() == ("--recon-out" in argv)  # the stream is written before the frames
+
+
+@pytest.mark.parametrize("argv", [
     ("encode", "{frames}", "{out}", "--groups", "0"),
     ("ablate", "{frames}", "--schemes", "grfsq", "--groups", "0"),
     ("ablate", "{frames}", "--schemes", ",", "--format", "csv"),
@@ -1013,6 +1042,20 @@ def test_bad_text_input_exits_2_naming_the_line(tmp_path, capsys, slot, content,
     assert stderr.startswith(f"error: {paths[slot]}:{where}: {message}")
     assert stdout == ""
     assert not (tmp_path / "x.grfq").exists()
+
+
+@pytest.mark.parametrize("schemes", ["vq", "rvq"])
+def test_centroid_norm_overflow_without_lloyd_exits_2(tmp_path, capsys, schemes):
+    # with --kmeans-iters 0 a one-stage fit assigns nothing: encoding refuses the centroids
+    path = tmp_path / "frames.jsonl"
+    write_jsonl_frames(path, np.full((40, 12), 1e160))
+    code, stdout, stderr = run(
+        capsys, "ablate", str(path), "--schemes", schemes, "--vq-k", "4", "--rvq-k", "4",
+        "--rvq-residuals", "2", "--kmeans-iters", "0",
+    )
+    assert code == 2, stderr
+    assert stdout == ""
+    assert stderr == "error: frames too large: k-means distances overflow float64\n"
 
 
 @pytest.mark.parametrize("offset, scale, argv", [
