@@ -251,7 +251,11 @@ def baseline_encode(
     """Encode frames; returns (tokens (T, groups, residuals), reconstructions)."""
     residual = _split_groups(frames, cfg.groups)
     G, T, dg = residual.shape
-    if len(codebooks) != G or any(len(row) != cfg.residuals for row in codebooks):
+    rows = codebooks if isinstance(codebooks, (list, tuple)) else ()
+    if len(rows) != G or any(
+        not isinstance(row, (list, tuple)) or len(row) != cfg.residuals
+        or not all(isinstance(book, Codebook) for book in row) for row in rows
+    ):
         raise ConfigMismatch("codebook grid does not match scheme shape")
     shapes = {book.entries.shape for row in codebooks for book in row}
     if shapes != {(cfg.codebook_size, dg)}:

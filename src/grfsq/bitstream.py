@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
-from .fsq import LevelSpec, _checked_int, _checked_ints, _flatten, _unflatten
+from .fsq import LevelSpec, _array, _checked_int, _checked_ints, _flatten, _unflatten
 from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
@@ -71,11 +71,13 @@ class StreamHeader:
             value = _checked_int(getattr(self, name), name, InvalidConfig, high=high)
             object.__setattr__(self, name, value)
         cfg = self.config
+        if not isinstance(cfg, GrfsqConfig):
+            raise InvalidConfig(f"config must be a GrfsqConfig, got {cfg!r}")
         if cfg.num_groups > 255 or cfg.num_residuals > 255 or cfg.level_spec.d > 255:
             raise InvalidConfig("groups, residuals and grid dimension must fit in a byte")
         if any(l > 255 for l in cfg.level_spec.levels):
             raise InvalidConfig("level counts must fit in a byte")
-        if cfg.group_dim > 65535 or cfg.total_dim > 65535:
+        if cfg.total_dim > 65535:
             raise InvalidConfig("dimensions must fit in 16 bits")
         object.__setattr__(self, "fps", float(stored))
 
@@ -156,9 +158,9 @@ def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarr
     out = np.empty((frames, count), dtype=np.int64)
     step = max(1, _PACK_CELLS // count)
     for s in range(0, frames, step):
-        limbs = []
-        for t in range(s, min(s + step, frames)):
-            value = int.from_bytes(payload[t * nbytes : (t + 1) * nbytes], "big") >> pad
+        run, limbs = bytes(payload[s * nbytes : (s + step) * nbytes]), []
+        for at in range(0, len(run), nbytes):
+            value = int.from_bytes(run[at : at + nbytes], "big") >> pad
             for _ in range(nlimbs - 1):
                 value, limb = divmod(value, limb_base)
                 limbs.append(limb)
@@ -171,13 +173,13 @@ def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarr
             raise CorruptStream(
                 "nonzero padding bits" if bad_pad[t] else "packed index exceeds codebook range"
             )
-        out[s : s + step] = digits
-    return (out[:, ::-1] if rev else out).reshape(frames, cfg.num_groups, cfg.num_residuals)
+        out[s : s + step] = digits[:, ::-1] if rev else digits
+    return out.reshape(frames, cfg.num_groups, cfg.num_residuals)
 
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
     """Pack one frame's G*R indices into its fixed-size block."""
-    arr = np.asarray(indices)
+    arr = _array(indices, "indices", InvalidIndex)
     count = cfg.num_groups * cfg.num_residuals
     if arr.shape not in ((cfg.num_groups, cfg.num_residuals), (count,)):
         raise InvalidInput(
@@ -269,7 +271,7 @@ def write_stream(header: StreamHeader, tensor, sink) -> int:
 
     Every index is checked before anything is written, so a bad index
     leaves the sink untouched."""
-    arr = np.asarray(tensor)
+    arr = _array(tensor, "indices", InvalidIndex)
     cfg = header.config
     expected = (header.frame_count, cfg.num_groups, cfg.num_residuals)
     if arr.shape != expected:

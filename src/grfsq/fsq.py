@@ -83,14 +83,20 @@ def _finite_vector(z, d: int, name: str = "input") -> np.ndarray:
     return arr
 
 
+def _array(values, what: str, error: type[Exception]) -> np.ndarray:
+    """The one conversion of an array argument: `values` as an array (the
+    input itself when it already is one), or `error` when it is ragged."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # numpy refuses ragged nested sequences
+        raise error(f"{what} is ragged") from None
+
+
 def _real_array(values, what: str, error: type[Exception]) -> np.ndarray:
     """`values` as a float64 array (the input itself when it already is one),
     or `error`. The dtype must be integer or float, checked before any cast;
     bool, complex, string, object and ragged input fail."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # numpy refuses ragged nested sequences
-        raise error(f"{what} is ragged") from None
+    arr = _array(values, what, error)
     if arr.dtype.kind not in "iuf":
         raise error(f"{what} must hold real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False)
@@ -128,7 +134,7 @@ def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray
     it), or `error`. An empty array passes; otherwise the dtype must be
     integer (not bool) or float with only finite whole numbers, and every
     value must lie in [0, high), `high` broadcast against the values."""
-    arr = np.asarray(values)
+    arr = _array(values, what, error)
     if arr.size:
         whole = np.issubdtype(arr.dtype, np.integer) or (
             arr.dtype.kind == "f" and np.all(np.isfinite(arr) & (arr == np.floor(arr)))
@@ -141,7 +147,7 @@ def _checked_ints(values, high, what: str, error: type[Exception]) -> np.ndarray
 
 
 def _checked_codes(codes, spec: LevelSpec) -> np.ndarray:
-    arr = np.asarray(codes)
+    arr = _array(codes, "codes", InvalidCode)
     if arr.ndim != 1 or arr.shape[0] != spec.d:
         raise InvalidCode(f"expected {spec.d} codes, got shape {arr.shape}")
     return _checked_ints(arr, spec.levels, "codes", InvalidCode)

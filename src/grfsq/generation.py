@@ -19,7 +19,7 @@ from ._text import (
     DEFAULT_SPEECH_VOCAB, MAX_SPEECH_VOCAB, _finite_floats, _json_line, _lines, _numerals,
 )
 from .errors import InvalidInput, PredictorContractViolation
-from .fsq import _checked_int, _checked_ints, _checked_reals, _real_array
+from .fsq import _array, _checked_int, _checked_ints, _checked_reals, _real_array
 
 PROB_FLOOR = 1e-12
 
@@ -39,7 +39,7 @@ class SpeechTokenSeq:
     vocab: int = DEFAULT_SPEECH_VOCAB
 
     def __post_init__(self):
-        arr = np.asarray(self.tokens)
+        arr = _array(self.tokens, "tokens", InvalidInput)
         if arr.ndim != 1:
             raise InvalidInput(f"tokens must be 1-D, got shape {arr.shape}")
         object.__setattr__(self, "vocab", _checked_vocab(self.vocab))
@@ -130,7 +130,7 @@ def assemble_context(
     fg = _checked_reals(global_feature, "global feature", InvalidInput).reshape(-1)
 
     if prev_tokens is not None:
-        prev = np.asarray(prev_tokens)
+        prev = _array(prev_tokens, "prev_tokens", InvalidInput)
         if prev.ndim != 2 or prev.shape[0] != T:
             raise InvalidInput(f"prev_tokens must have shape ({T}, groups), got {prev.shape}")
         prev = _checked_ints(prev, np.iinfo(np.int64).max, "prev_tokens", InvalidInput).copy()
@@ -179,7 +179,7 @@ class RowGrid:
 
     def __post_init__(self):
         rows = _real_array(self.rows, "row grid rows", InvalidInput).copy()
-        which = np.asarray(self.which)
+        which = _array(self.which, "row indices", InvalidInput)
         if rows.ndim != 2 or which.ndim != 2:
             raise InvalidInput(
                 f"row grid needs (P, C) rows and (T, G) indices, got {rows.shape}, {which.shape}"
@@ -236,7 +236,7 @@ def validate_prediction_grid(probs) -> RowGrid | np.ndarray:
 def nll(predictions, targets) -> float:
     """Negative log-likelihood of targets (nats), probabilities floored at 1e-12."""
     rows, which = _rows_of(validate_prediction_grid(predictions))
-    tgt = np.asarray(targets)
+    tgt = _array(targets, "targets", InvalidInput)
     if tgt.shape != which.shape:
         raise InvalidInput(f"targets shape {tgt.shape} does not match grid {which.shape}")
     return _picked_nll(rows, which, _checked_ints(tgt, rows.shape[1], "targets", InvalidInput))
@@ -328,7 +328,7 @@ class EchoPredictor:
     """Puts probability one on a fixed target tensor's slice for each layer."""
 
     def __init__(self, target, num_classes: int | None = None):
-        arr = np.asarray(target)
+        arr = _array(target, "targets", InvalidInput)
         if arr.ndim != 3:
             raise InvalidInput(f"target must be (T, G, R), got shape {arr.shape}")
         high = np.iinfo(np.int64).max
@@ -368,7 +368,7 @@ class BigramPredictor:
 
     @classmethod
     def fit(cls, targets, speech: SpeechTokenSeq, num_classes: int) -> "BigramPredictor":
-        arr = np.asarray(targets)
+        arr = _array(targets, "targets", InvalidInput)
         if arr.ndim != 3:
             raise InvalidInput(f"targets must be (T, G, R), got shape {arr.shape}")
         T, G, R = arr.shape

@@ -23,7 +23,7 @@ from .errors import (
     InvalidInput,
 )
 from .fsq import (
-    LevelSpec, _checked_int, _checked_ints, _checked_reals, _finite_vector, _flatten,
+    LevelSpec, _array, _checked_int, _checked_ints, _checked_reals, _finite_vector, _flatten,
     _grid_values, _nearest_codes, _unflatten,
 )
 
@@ -196,7 +196,7 @@ def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
     returned there. Blocks go `_CHUNK` frames at a time, so the codes and
     their temporaries stay small beside the output.
     """
-    arr = np.asarray(indices)
+    arr = _array(indices, "indices", InvalidIndex)
     block = (cfg.num_groups, cfg.num_residuals)
     if arr.shape[-2:] != block:
         raise InvalidIndex(f"expected index shape (..., {block[0]}, {block[1]}), got {arr.shape}")
@@ -318,7 +318,7 @@ def float_stream_bitrate(dims: int, fps: float) -> float:
 
 def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> UtilizationReport:
     """Share of each of the (groups, residuals) codebooks seen in (T, G, R) tokens."""
-    arr = np.asarray(tokens)
+    arr = _array(tokens, "token indices", InvalidIndex)
     if arr.ndim != 3 or arr.shape[1:] != (groups, residuals):
         raise ConfigMismatch(
             f"expected token shape (T, {groups}, {residuals}), got {arr.shape}"

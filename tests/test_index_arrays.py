@@ -23,6 +23,7 @@ from grfsq.generation import (
     nll,
 )
 from grfsq.quantizer import GrfsqConfig, grfsq_dequantize, utilization
+from test_input_rules import ragged
 
 G, R, C = 2, 2, 3
 CFG = GrfsqConfig(G, R, LevelSpec((C,)), 1)
@@ -159,6 +160,11 @@ class TestEverySite:
         good.flat[-1] = value
         with pytest.raises(error, match="must lie in"):
             call(good)
+
+    def test_ragged_fails(self, name):
+        call, good, error = site(name)
+        with pytest.raises(error, match="ragged"):
+            call(ragged(good))
 
 
 @pytest.mark.parametrize("name", ROWS)

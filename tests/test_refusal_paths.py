@@ -11,6 +11,7 @@ import pytest
 from grfsq.baselines import (
     BaselineConfig, Codebook, baseline_bitrate, baseline_encode, kmeans_fit,
 )
+from grfsq.bitstream import StreamHeader
 from grfsq.cli import main
 from grfsq.errors import (
     ConfigMismatch,
@@ -105,6 +106,12 @@ CASES = {
         ),
         InvalidInput, "prev_tokens have 2 groups, expected 3",
     ),
+    "assemble_context ragged prev_tokens": (
+        lambda _: assemble_context(
+            np.zeros(0), 1, SPEECH, CONTROLS, prev_tokens=[[0] * G] * (T - 1) + [[0, 0, [0, 0]]]
+        ),
+        InvalidInput, "prev_tokens is ragged",
+    ),
     "assemble_context no groups": (
         lambda _: assemble_context(np.zeros(0), 0, SPEECH, CONTROLS),
         InvalidInput, "num_groups is required",
@@ -193,6 +200,17 @@ CASES = {
             np.zeros((T, 4)), BaselineConfig("gvq", 2, groups=2), [[Codebook(np.zeros((2, 2)))]]
         ),
         ConfigMismatch, "codebook grid does not match",
+    ),
+    "baseline_encode codebook grid of ints": (
+        lambda _: baseline_encode(np.zeros((T, 4)), BaselineConfig("vq", 2), [[1]]),
+        ConfigMismatch, "codebook grid does not match",
+    ),
+    "baseline_encode no codebook grid": (
+        lambda _: baseline_encode(np.zeros((T, 4)), BaselineConfig("vq", 2), None),
+        ConfigMismatch, "codebook grid does not match",
+    ),
+    "StreamHeader None config": (
+        lambda _: StreamHeader(None, 1, 25.0), InvalidConfig, "config must be a GrfsqConfig",
     ),
     "kmeans_fit zero-width frames": (
         lambda _: kmeans_fit(np.zeros((3, 0)), 1, 2, 0), InvalidInput, "zero-width frames",
