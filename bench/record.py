@@ -121,14 +121,14 @@ def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]
 
 
 def run_entry(workload, pair, order, side, seconds, info: dict, result: dict) -> dict:
-    timings = info.get("timings_s", {})
+    timings = info["timings_s"]
     return {
         "workload": workload, "seed": SEED, "seconds": seconds, "pair": pair,
         "order_in_pair": order, "side": side, "checkout": SIDES[side],
-        "golden": info.get("golden"),
+        "golden": info["golden"],
         "out_grfq_sha256": (info.get("output_sha256") or {}).get("out.grfq"),
-        "op_median_s": timings.get("op", {}).get("median"),
-        "reference_median_s": timings.get("reference", {}).get("median"),
+        "op_median_s": timings["op"]["median"],
+        "reference_median_s": timings["reference"]["median"],
         "timings_s": timings,  # unscaled, as the run measured them
         "unscaled": info.get("unscaled"),
         "result": result,
@@ -173,13 +173,13 @@ def main(argv=None) -> int:
         seconds = GOLDEN_SECONDS if pair == "golden" else spec["run_seconds"]
         info, result = run_once(checkouts[side], workload, seconds)
         if record["machine"] is None:
-            record["machine"] = {key: info.get(key) for key in ("nproc", "python", "numpy")}
+            record["machine"] = {key: info[key] for key in ("nproc", "python", "numpy")}
         record["runs"].append(run_entry(workload, pair, position, side, seconds, info, result))
         record["golden"] = golden(record["runs"])
         record["summary"] = summarize(record["runs"], better)
         out.write_text(json.dumps(record, indent=1) + "\n")
         fps = metric(record["runs"][-1], "fps")
-        print(f"{workload} pair {pair} {side}: {info.get('golden')}, fps {fps}", file=sys.stderr)
+        print(f"{workload} pair {pair} {side}: {info['golden']}, fps {fps}", file=sys.stderr)
     return 0
 
 
