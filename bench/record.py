@@ -17,13 +17,17 @@ keeps the runs it made.
 
 The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles over the numbered pairs and the number of
-pairs the change won (ties count for neither side).
+pairs the change won (ties count for neither side). With `--claim '{"workload":
+"ablate-holdout", "metric": "fps"}'` the claimed row also gets `claim_met`,
+the pair rule's verdict (see `claim_met`). `machine` records numpy's SIMD
+dispatch and BLAS build, and the OPENBLAS_NUM_THREADS every run inherits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -75,10 +79,22 @@ def golden(runs: list[dict]) -> dict:
     return out
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def claim_met(row: dict, direction: str) -> bool:
+    """The pair rule for a claimed gain: at least 10 pairs, the change won at
+    least 9 in 10 of them (ties count for neither side), and its median is
+    better than the parent's by more than the parent's quartile spread."""
+    low, high = row["parent_quartiles"]
+    gap = row["change_median"] - row["parent_median"]
+    gap = gap if direction == "higher" else -gap
+    pairs = row["pairs"]
+    return pairs >= 10 and 10 * row["change_better_pairs"] >= 9 * pairs and gap > high - low
+
+
+def summarize(runs: list[dict], better: dict[str, str], claim: dict | None = None) -> dict:
     """Per workload and metric in `better` (name -> "higher" or "lower"):
     each side's median and inclusive quartiles over the numbered pairs, the
-    pairs both sides measured, and how many of them the change won."""
+    pairs both sides measured, and how many of them the change won; the row
+    of `claim`'s workload and metric also gets `claim_met`."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         pairs: dict[int, dict[str, dict]] = {}
@@ -104,9 +120,28 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             row["pairs"] = len(both)
             median = row["parent_median"]
             row["change_vs_parent"] = row["change_median"] / median - 1 if median else None
+            if claim and (claim.get("workload"), claim.get("metric")) == (workload, name):
+                row["claim_met"] = claim_met(row, direction)
             rows[name] = row
         summary[f"{workload} seed {SEED}"] = rows
     return summary
+
+
+def machine(info: dict) -> dict:
+    """nproc, Python and numpy as a run's `info` gives them; numpy's SIMD
+    dispatch and the BLAS numpy reports, read in this interpreter, which
+    starts every run; and the OPENBLAS_NUM_THREADS each run inherits (None
+    when unset)."""
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        **{key: info[key] for key in ("nproc", "python", "numpy")},
+        "simd": config["SIMD Extensions"],  # the baseline and the dispatch targets found
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
 
 
 def run_once(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
@@ -173,10 +208,10 @@ def main(argv=None) -> int:
         seconds = GOLDEN_SECONDS if pair == "golden" else spec["run_seconds"]
         info, result = run_once(checkouts[side], workload, seconds)
         if record["machine"] is None:
-            record["machine"] = {key: info[key] for key in ("nproc", "python", "numpy")}
+            record["machine"] = machine(info)
         record["runs"].append(run_entry(workload, pair, position, side, seconds, info, result))
         record["golden"] = golden(record["runs"])
-        record["summary"] = summarize(record["runs"], better)
+        record["summary"] = summarize(record["runs"], better, args.claim)
         out.write_text(json.dumps(record, indent=1) + "\n")
         fps = metric(record["runs"][-1], "fps")
         print(f"{workload} pair {pair} {side}: {info['golden']}, fps {fps}", file=sys.stderr)

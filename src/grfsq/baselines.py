@@ -14,7 +14,7 @@ import numpy as np
 
 from ._pcg64 import PCG64, seed_words
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidInput
-from .fsq import _checked_int, _checked_reals
+from .fsq import _checked_int, _checked_reals, _checked_type
 from .quantizer import UtilizationReport, _frames_array, _token_bitrate, _utilization
 
 SCHEMES = ("vq", "gvq", "rvq", "grvq")
@@ -123,6 +123,39 @@ def _draw(d2: np.ndarray, total: np.ndarray, rngs) -> np.ndarray:
     return picks
 
 
+def _kmeans_pp(data: np.ndarray, coords: np.ndarray, k: int, rngs) -> np.ndarray:
+    """k-means++ centers (G, k, d) for (G, n, d) data, from its
+    coordinate-major copy `coords` (d, G, n) and one generator per group.
+
+    A distance is summed over the d coordinate planes in order. Below 8
+    dims that is bit-equal to numpy's sum along a row; from 8 dims numpy
+    sums a row pairwise, so a distance may differ in its last bit. Distances
+    only weigh which data row becomes a center, so a pick could move only
+    when a uniform draw lands within that rounding of a step of the cdf.
+    Every pick's squared offsets go to one buffer, freed on return, before
+    the Lloyd steps allocate theirs.
+    """
+    G, n, dim = data.shape
+    rows = np.arange(G)
+    diff = np.empty_like(coords)
+
+    def sq_dists(center: np.ndarray) -> np.ndarray:  # (G, d) -> (G, n)
+        np.subtract(coords, center.T[:, :, None], out=diff)
+        return np.multiply(diff, diff, out=diff).sum(axis=0)  # x * x is what x**2 computes
+
+    centers = np.empty((G, k, dim))
+    centers[:, 0] = data[rows, [rng.integers(n) for rng in rngs]]
+    with np.errstate(over="ignore"):  # an overflowed total is refused below
+        d2 = sq_dists(centers[:, 0])
+        for j in range(1, k):
+            total = d2.sum(axis=1)
+            if not np.isfinite(total).all():
+                raise InvalidInput("frames too large: k-means++ distances overflow float64")
+            centers[:, j] = data[rows, _draw(d2, total, rngs)]
+            np.minimum(d2, sq_dists(centers[:, j]), out=d2)
+    return centers
+
+
 def _kmeans(
     data: np.ndarray, k: int, iters: int, seeds, track_history: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -137,14 +170,8 @@ def _kmeans(
     A group's generator is `_pcg64.PCG64(seed)`, the in-package PCG64 that
     draws bit for bit what `numpy.random.default_rng(seed)` draws, so
     codebooks do not depend on numpy's Generator stream policy and fitting
-    never imports numpy.random.
-
-    k-means++ keeps the data coordinate-major, (d, G, n), and sums a
-    distance over its d coordinate planes in order. Below 8 dims that is
-    bit-equal to numpy's sum along a row; from 8 dims numpy sums a row
-    pairwise, so a distance may differ in its last bit. Distances only weigh
-    which data row becomes a center, so a pick could move only when a
-    uniform draw lands within that rounding of a step of the cdf.
+    never imports numpy.random. k-means++ (`_kmeans_pp`) picks the first
+    centers.
     """
     G, n, dim = data.shape
     if dim < 1:
@@ -154,17 +181,7 @@ def _kmeans(
     rngs = [PCG64(seed) for seed in seeds]
     rows = np.arange(G)
     coords = np.ascontiguousarray(data.transpose(2, 0, 1))
-
-    centers = np.empty((G, k, dim))
-    centers[:, 0] = data[rows, [rng.integers(n) for rng in rngs]]
-    with np.errstate(over="ignore"):  # an overflowed total is refused below
-        d2 = ((coords - centers[:, 0].T[:, :, None]) ** 2).sum(axis=0)
-        for j in range(1, k):
-            total = d2.sum(axis=1)
-            if not np.isfinite(total).all():
-                raise InvalidInput("frames too large: k-means++ distances overflow float64")
-            centers[:, j] = data[rows, _draw(d2, total, rngs)]
-            np.minimum(d2, ((coords - centers[:, j].T[:, :, None]) ** 2).sum(axis=0), out=d2)
+    centers = _kmeans_pp(data, coords, k, rngs)
 
     history = []
     active = np.ones(G, dtype=bool)
@@ -234,6 +251,7 @@ def fit_codebooks(frames, cfg: BaselineConfig) -> list[list[Codebook]]:
     stage are fit at once; group g, stage r is seeded by word g * R + r of
     `SeedSequence(cfg.seed).generate_state(G * R)`.
     """
+    _checked_type(cfg, BaselineConfig, "config")
     residual = _split_groups(frames, cfg.groups)
     seeds = seed_words(cfg.seed, cfg.groups * cfg.residuals)
     stages = []
@@ -249,6 +267,7 @@ def baseline_encode(
     frames, cfg: BaselineConfig, codebooks: list[list[Codebook]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode frames; returns (tokens (T, groups, residuals), reconstructions)."""
+    _checked_type(cfg, BaselineConfig, "config")
     residual = _split_groups(frames, cfg.groups)
     G, T, dg = residual.shape
     rows = codebooks if isinstance(codebooks, (list, tuple)) else ()
@@ -274,11 +293,13 @@ def baseline_encode(
 
 def baseline_utilization(tokens, cfg: BaselineConfig) -> UtilizationReport:
     """Coverage of each (group, residual) codebook, in percent."""
+    _checked_type(cfg, BaselineConfig, "config")
     return _utilization(tokens, cfg.groups, cfg.residuals, cfg.codebook_size)
 
 
 def baseline_bitrate(cfg: BaselineConfig, fps: float) -> float:
     """groups * residuals * log2(k) * fps, the grid quantizer's accounting."""
+    _checked_type(cfg, BaselineConfig, "config")
     return _token_bitrate(cfg.groups * cfg.residuals, cfg.codebook_size, fps)
 
 

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigMismatch, CorruptStream, InvalidConfig, InvalidIndex, InvalidInput
-from .fsq import LevelSpec, _array, _checked_int, _checked_ints, _flatten, _unflatten
+from .fsq import (
+    LevelSpec, _array, _checked_int, _checked_ints, _checked_type, _flatten, _unflatten,
+)
 from .quantizer import GrfsqConfig, _check_fps
 
 MAGIC = b"GRFQ"
@@ -70,9 +72,7 @@ class StreamHeader:
         for name, high in (("frame_count", 2**32), ("packing_mode", len(PACKING_MODE_NAMES))):
             value = _checked_int(getattr(self, name), name, InvalidConfig, high=high)
             object.__setattr__(self, name, value)
-        cfg = self.config
-        if not isinstance(cfg, GrfsqConfig):
-            raise InvalidConfig(f"config must be a GrfsqConfig, got {cfg!r}")
+        cfg = _checked_type(self.config, GrfsqConfig, "config")
         if cfg.num_groups > 255 or cfg.num_residuals > 255 or cfg.level_spec.d > 255:
             raise InvalidConfig("groups, residuals and grid dimension must fit in a byte")
         if any(l > 255 for l in cfg.level_spec.levels):
@@ -95,6 +95,7 @@ def _radix(cfg: GrfsqConfig, mode: int) -> tuple[int, bool]:
 
 def frame_bits(cfg: GrfsqConfig, mode: int) -> int:
     """Exact bit width of one packed frame block, before byte padding."""
+    _checked_type(cfg, GrfsqConfig, "config")
     base, _ = _radix(cfg, mode)
     return (base ** (cfg.num_groups * cfg.num_residuals) - 1).bit_length()
 
@@ -179,6 +180,7 @@ def _unpack_blocks(payload, cfg: GrfsqConfig, mode: int, nbits: int) -> np.ndarr
 
 def frame_pack(indices, cfg: GrfsqConfig, mode: int = MODE_MIXED_RADIX) -> bytes:
     """Pack one frame's G*R indices into its fixed-size block."""
+    _checked_type(cfg, GrfsqConfig, "config")
     arr = _array(indices, "indices", InvalidIndex)
     count = cfg.num_groups * cfg.num_residuals
     if arr.shape not in ((cfg.num_groups, cfg.num_residuals), (count,)):
@@ -271,8 +273,8 @@ def write_stream(header: StreamHeader, tensor, sink) -> int:
 
     Every index is checked before anything is written, so a bad index
     leaves the sink untouched."""
+    cfg = _checked_type(header, StreamHeader, "header").config
     arr = _array(tensor, "indices", InvalidIndex)
-    cfg = header.config
     expected = (header.frame_count, cfg.num_groups, cfg.num_residuals)
     if arr.shape != expected:
         raise ConfigMismatch(f"tensor shape {arr.shape} does not match header {expected}")

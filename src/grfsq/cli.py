@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import threading
 from array import array
 
 import numpy as np
@@ -266,6 +267,42 @@ def _ablate_config(args, scheme: str, seed: int, train: np.ndarray):
     return cfg, baselines.baseline_bitrate(cfg, args.fps)
 
 
+def _fit_baselines(schemes: list[str], configs: list, train: np.ndarray) -> list:
+    """Each scheme's fitted codebooks, or the exception its fit raised, or
+    None (grfsq, or a fit never run), in scheme order.
+
+    Fits run two at a time: a worker thread fits every second baseline
+    scheme, the calling thread the rest, since numpy releases the GIL in its
+    loops and products. Each thread stops at its first failure; the fits it
+    skips come after that scheme, so the caller, taking results in scheme
+    order, raises the failure the one-at-a-time loop would have raised. The
+    worker keeps any exception, so it prints nothing; the calling thread
+    lets an interrupt through."""
+    from . import baselines
+
+    fitted = [None] * len(schemes)
+
+    def fit(positions, keep):
+        for i in positions:
+            try:
+                fitted[i] = baselines.fit_codebooks(train, configs[i][0])
+            except keep as exc:
+                fitted[i] = exc
+                return
+
+    positions = [i for i, scheme in enumerate(schemes) if scheme != "grfsq"]
+    worker = None
+    if len(positions) > 1:
+        worker = threading.Thread(target=fit, args=(positions[1::2], BaseException))
+        worker.start()
+    try:
+        fit(positions[::2], Exception)
+    finally:
+        if worker is not None:
+            worker.join()
+    return fitted
+
+
 def cmd_ablate(args) -> int:
     from . import baselines  # only ablate runs the k-means baselines
 
@@ -298,13 +335,15 @@ def cmd_ablate(args) -> int:
         node = os.path.dirname(node.rstrip(os.sep)) or os.curdir
     if node is not None and not os.path.isdir(node):
         os.makedirs(args.save_codebooks, exist_ok=True)
+    fitted = _fit_baselines(schemes, configs, train)
     rows, blobs = [], {}
-    for scheme, (cfg, bps) in zip(schemes, configs):
+    for scheme, (cfg, bps), books in zip(schemes, configs, fitted):
         if scheme == "grfsq":
             tokens, recon, _ = quantize_sequence(evaluate, cfg)
             util = utilization(tokens, cfg)
         else:
-            books = baselines.fit_codebooks(train, cfg)
+            if isinstance(books, BaseException):
+                raise books
             tokens, recon = baselines.baseline_encode(evaluate, cfg, books)
             util = baselines.baseline_utilization(tokens, cfg)
             if args.save_codebooks is not None:
@@ -502,7 +541,8 @@ def _report(exc: GrfsqError | OSError) -> int:
 
 
 def run() -> None:
-    """The process entry point (`python -m grfsq`, the `grfsq` script).
+    """What every process runs, after `grfsq.__main__.main` (`python -m
+    grfsq`, the `grfsq` script) has set its BLAS thread count.
 
     Runs `main()`, flushes stdout and stderr, and ends the process with
     `os._exit`: module teardown and the final collection would only add
@@ -520,7 +560,3 @@ def run() -> None:
     except OSError as exc:
         code = _report(exc)
     os._exit(code)
-
-
-if __name__ == "__main__":
-    run()

@@ -111,6 +111,14 @@ def _checked_reals(values, what: str, error: type[Exception]) -> np.ndarray:
     return arr
 
 
+def _checked_type(value, cls: type, what: str):
+    """The rule for a config argument: `value` when it is a `cls`, else
+    `InvalidConfig` naming the class, before any attribute is read."""
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{what} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _checked_int(value, what: str, error: type[Exception], low: int = 0, high=None) -> int:
     """The scalar form of `_checked_ints`: `value` as a Python int in
     [low, high), unbounded above when `high` is None, or `error`. An int, a

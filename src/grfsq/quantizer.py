@@ -23,8 +23,8 @@ from .errors import (
     InvalidInput,
 )
 from .fsq import (
-    LevelSpec, _array, _checked_int, _checked_ints, _checked_reals, _finite_vector, _flatten,
-    _grid_values, _nearest_codes, _unflatten,
+    LevelSpec, _array, _checked_int, _checked_ints, _checked_reals, _checked_type,
+    _finite_vector, _flatten, _grid_values, _nearest_codes, _unflatten,
 )
 
 DEFAULT_GROUPS = 12
@@ -75,8 +75,7 @@ class GrfsqConfig:
         for name in ("num_groups", "num_residuals", "group_dim"):
             count = _checked_int(getattr(self, name), name, InvalidConfig, low=1)
             object.__setattr__(self, name, count)
-        if not isinstance(self.level_spec, LevelSpec):
-            raise InvalidConfig(f"level_spec must be a LevelSpec, got {self.level_spec!r}")
+        _checked_type(self.level_spec, LevelSpec, "level_spec")
         d = self.level_spec.d
         if self.projections is None:
             if self.group_dim != d:
@@ -183,6 +182,7 @@ def _encode(arr: np.ndarray, cfg: GrfsqConfig):
 
 def grfsq_quantize(x, cfg: GrfsqConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quantize one frame; returns (reconstruction, indices of shape (G, R))."""
+    _checked_type(cfg, GrfsqConfig, "config")
     xv = _finite_vector(x, cfg.total_dim, name="frame")
     indices, recon, _ = _encode(xv[None], cfg)
     return recon[0], indices[0]
@@ -196,6 +196,7 @@ def grfsq_dequantize(indices, cfg: GrfsqConfig) -> np.ndarray:
     returned there. Blocks go `_CHUNK` frames at a time, so the codes and
     their temporaries stay small beside the output.
     """
+    _checked_type(cfg, GrfsqConfig, "config")
     arr = _array(indices, "indices", InvalidIndex)
     block = (cfg.num_groups, cfg.num_residuals)
     if arr.shape[-2:] != block:
@@ -228,6 +229,7 @@ def quantize_sequence(
     Returns (indices (T, G, R), reconstructions (T, D), report). Each row
     is bit-equal to a single-frame :func:`grfsq_quantize` call.
     """
+    _checked_type(cfg, GrfsqConfig, "config")
     arr = _frames_array(frames, cfg.total_dim)
     indices, recon, sq_err_by_stage = _encode(arr, cfg)
     _refuse_overflow(sq_err_by_stage)
@@ -264,6 +266,7 @@ def calibrate_projections(calibration, cfg: GrfsqConfig) -> GrfsqConfig:
     first, each oriented so its largest-magnitude component is positive; that
     takes d + 1 frames, as centering leaves T frames rank T - 1.
     """
+    _checked_type(cfg, GrfsqConfig, "config")
     arr = _frames_array(calibration, cfg.total_dim)
     d, dg = cfg.level_spec.d, cfg.group_dim
     if arr.shape[0] < (need := d + (dg > d)):
@@ -307,6 +310,7 @@ def _token_bitrate(books: int, codebook_size: int, fps: float) -> float:
 
 def bitrate(cfg: GrfsqConfig, fps: float) -> float:
     """Theoretical token bitrate: groups * residuals * log2(codebook) * fps."""
+    _checked_type(cfg, GrfsqConfig, "config")
     return _token_bitrate(cfg.num_groups * cfg.num_residuals, cfg.codebook_size, fps)
 
 
@@ -332,4 +336,5 @@ def _utilization(tokens, groups: int, residuals: int, codebook_size: int) -> Uti
 
 def utilization(tokens, cfg: GrfsqConfig) -> UtilizationReport:
     """Per-(group, residual) codebook coverage over a token tensor, in percent."""
+    _checked_type(cfg, GrfsqConfig, "config")
     return _utilization(tokens, cfg.num_groups, cfg.num_residuals, cfg.codebook_size)

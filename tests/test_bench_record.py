@@ -4,8 +4,10 @@
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RECORD = Path(__file__).resolve().parents[1] / "bench" / "record.py"
@@ -98,3 +100,69 @@ def test_checkouts_of_unequal_path_length_are_refused(record, tmp_path, capsys):
                      "--parent-commit", "0", "--pairs", "w=2"])
     assert exit_info.value.code == 2
     assert "differ in length" in capsys.readouterr().err
+
+
+def pairs_of(parent, change):
+    """Canned numbered pairs of fps readings, alternating which side ran first."""
+    runs = []
+    for pair, (a, b) in enumerate(zip(parent, change)):
+        sides = [canned("w", pair, "parent", a, 10.0), canned("w", pair, "change", b, 10.0)]
+        runs += sides[::-1] if pair % 2 else sides
+    return runs
+
+
+PARENT_FPS = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+CLAIM = {"workload": "w", "metric": "fps"}
+
+
+@pytest.mark.parametrize("change, met", [
+    ([v + 10.0 for v in PARENT_FPS], True),
+    # 9 of 10 pairs won, a tie in the tenth: still met
+    ([v + 10.0 for v in PARENT_FPS[:9]] + [PARENT_FPS[9]], True),
+    # 8 of 10 pairs won
+    ([v + 10.0 for v in PARENT_FPS[:8]] + PARENT_FPS[8:], False),
+    # every pair won, by less than the parent's quartile spread (102.25 to 106.75)
+    ([v + 1.0 for v in PARENT_FPS], False),
+])
+def test_claim_met_by_the_pair_rule(record, change, met):
+    row = record.summarize(pairs_of(PARENT_FPS, change), BETTER, CLAIM)["w seed 0"]["fps"]
+    assert row["claim_met"] is met
+
+
+def test_claim_met_needs_ten_pairs(record):
+    row = record.summarize(
+        pairs_of(PARENT_FPS[:8], [v + 10.0 for v in PARENT_FPS[:8]]), BETTER, CLAIM
+    )["w seed 0"]["fps"]
+    assert row["change_better_pairs"] == row["pairs"] == 8
+    assert row["claim_met"] is False
+
+
+def test_claim_met_for_a_lower_is_better_metric(record):
+    runs = pairs_of(PARENT_FPS, PARENT_FPS)
+    for run in runs:
+        rss = 30.0 if run["side"] == "change" else 31.0 + run["pair"] / 10
+        run["result"]["metrics"]["peak_rss_mb"]["value"] = rss
+    summary = record.summarize(runs, BETTER, {"workload": "w", "metric": "peak_rss_mb"})
+    assert summary["w seed 0"]["peak_rss_mb"]["claim_met"] is True
+    assert "claim_met" not in summary["w seed 0"]["fps"]
+
+
+def test_no_claim_no_verdict(record):
+    rows = record.summarize(pairs_of(PARENT_FPS, PARENT_FPS), BETTER)["w seed 0"]
+    assert not any("claim_met" in row for row in rows.values())
+
+
+@pytest.mark.parametrize("threads", [None, "1", "4"])
+def test_machine_records_simd_blas_and_the_inherited_thread_count(record, monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    info = {"nproc": 2, "python": "3.11.7", "numpy": np.__version__, "timings_s": {}}
+    found = record.machine(info)
+    assert found["nproc"] == 2 and found["python"] == "3.11.7" and found["numpy"] == np.__version__
+    assert found["openblas_num_threads"] == threads
+    config = np.show_config(mode="dicts")
+    assert found["simd"] == config["SIMD Extensions"]
+    assert found["blas"]["name"] == config["Build Dependencies"]["blas"]["name"]
+    json.dumps(found)  # the record is JSON

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import struct
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -643,6 +644,93 @@ class TestAblate:
         )
         assert code == 0
         assert json.loads(stdout)[0]["rmse"] > 0
+
+
+class Interrupted(BaseException):
+    """Not an `Exception`: what a worker thread must still hand back."""
+
+
+class TestAblateFitThreads:
+    """`ablate` fits every second baseline scheme on one worker thread and
+    the rest on the calling thread, and reports as the one-at-a-time loop did."""
+
+    FLAGS = (
+        "--groups", "4", "--levels", "5,5,5", "--vq-k", "16", "--gvq-groups", "4",
+        "--gvq-k", "8", "--rvq-residuals", "3", "--rvq-k", "8", "--grvq-groups", "2",
+        "--grvq-residuals", "2", "--grvq-k", "8", "--kmeans-iters", "6", "--seed", "5",
+    )
+
+    @pytest.fixture
+    def frames(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        write_jsonl_frames(path, np.random.default_rng(63).normal(0, 1.0, size=(120, 12)))
+        return path
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """Patch `fit_codebooks`; returns {scheme: thread} filled as fits run
+        and {scheme: exception} of the fits to fail."""
+        from grfsq import baselines
+
+        threads, failures = {}, {}
+        real_fit = baselines.fit_codebooks
+
+        def fit(train, cfg):
+            threads[cfg.scheme] = threading.current_thread()
+            if cfg.scheme in failures:
+                raise failures[cfg.scheme]
+            return real_fit(train, cfg)
+
+        monkeypatch.setattr(baselines, "fit_codebooks", fit)
+        return threads, failures
+
+    def ablate(self, capsys, frames, schemes):
+        start = threading.active_count()
+        code, stdout, stderr = run(capsys, "ablate", str(frames), *self.FLAGS, "--schemes", schemes)
+        assert threading.active_count() == start  # the worker was joined
+        return code, stdout, stderr
+
+    @pytest.mark.parametrize("schemes, worker", [
+        ("vq,gvq,rvq,grvq,grfsq", {"gvq", "grvq"}),
+        ("grfsq,grvq,rvq,gvq,vq", {"rvq", "vq"}),
+        ("vq,grfsq,gvq", {"gvq"}),
+        ("grfsq,rvq", set()),  # one baseline: no thread starts
+    ])
+    def test_every_second_baseline_fits_on_the_worker(
+        self, capsys, fits, frames, schemes, worker
+    ):
+        threads, _ = fits
+        code, stdout, stderr = self.ablate(capsys, frames, schemes)
+        assert code == 0, stderr
+        assert [row["scheme"] for row in json.loads(stdout)] == schemes.split(",")
+        main_thread = threading.main_thread()
+        assert {s for s, thread in threads.items() if thread is not main_thread} == worker
+
+    # gvq's fit fails with exit 2, rvq's with 3; whichever comes first in
+    # --schemes is reported, whether it ran on the calling thread or the worker
+    @pytest.mark.parametrize("schemes", ["gvq,rvq", "rvq,gvq", "vq,gvq,rvq", "vq,rvq,gvq"])
+    def test_the_first_failing_scheme_is_reported(self, capsys, fits, frames, schemes):
+        from grfsq.errors import InvalidConfig, InvalidInput
+
+        _, failures = fits
+        failures.update(gvq=InvalidInput("gvq fit failed"), rvq=InvalidConfig("rvq fit failed"))
+        first = next(s for s in schemes.split(",") if s in failures)
+        code, stdout, stderr = self.ablate(capsys, frames, schemes)
+        assert code == failures[first].exit_code
+        assert (stdout, stderr) == ("", f"error: {first} fit failed\n")
+
+    def test_a_worker_base_exception_reaches_the_caller_unprinted(
+        self, capsys, fits, frames, monkeypatch
+    ):
+        _, failures = fits
+        failures["gvq"] = Interrupted("stop")
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        start = threading.active_count()
+        with pytest.raises(Interrupted, match="stop"):
+            main(["ablate", str(frames), *self.FLAGS, "--schemes", "vq,gvq"])
+        assert threading.active_count() == start
+        assert hooked == [] and capsys.readouterr() == ("", "")
 
 
 class TestScheduleSim:

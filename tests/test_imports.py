@@ -60,45 +60,77 @@ EAGER_PAIRS = [(module, name) for module, names in EAGER_NAMES.items() for name 
 RANDOM_MODULES = {"numpy.random", "secrets", "_hashlib"}
 
 # Each probe runs in a fresh interpreter as `python -c PROBE OUT ARGS...` and
-# writes every loaded module's name to OUT. This one imports the package.
+# writes every loaded module's name and the OPENBLAS_NUM_THREADS it ends with
+# to OUT. This one imports the package.
 IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 import grfsq
 with open(sys.argv[1], "w") as fh:
-    json.dump({"code": 0, "modules": sorted(sys.modules)}, fh)
+    json.dump({"code": 0, "modules": sorted(sys.modules),
+               "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, fh)
 """
-# This one runs `python -m grfsq ARGS...` and records its exit code too. The
-# CLI ends its process with `os._exit`, so the probe writes its record from a
-# wrapper around it, then exits through the real one.
+# This one runs the CLI with ARGS... through ENTRY, `-m` for `python -m grfsq`
+# or a `[project.scripts]` target, as `python -c CLI_PROBE OUT ENTRY ARGS...`.
+# It also records the exit code and, for each write of OPENBLAS_NUM_THREADS
+# (every write to os.environ goes through os.putenv), whether numpy was loaded
+# by then. The CLI ends its process with `os._exit`, so the probe writes its
+# record from a wrapper around it, then exits through the real one.
 CLI_PROBE = """
-import json, os, runpy, sys
-out, sys.argv = sys.argv[1], ["grfsq"] + sys.argv[2:]
-real_exit = os._exit
+import importlib, json, os, runpy, sys
+out, entry, sys.argv = sys.argv[1], sys.argv[2], ["grfsq"] + sys.argv[3:]
+real_exit, real_putenv = os._exit, os.putenv
+blas_writes = []
 
 def record_and_exit(code):
     with open(out, "w") as fh:
-        json.dump({"code": code, "modules": sorted(sys.modules)}, fh)
+        json.dump({"code": code, "modules": sorted(sys.modules), "blas_writes": blas_writes,
+                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, fh)
     real_exit(code)
 
-os._exit = record_and_exit
-runpy.run_module("grfsq", run_name="__main__", alter_sys=True)
+def watched_putenv(key, value):  # os.environ passes both encoded
+    if os.fsdecode(key) == "OPENBLAS_NUM_THREADS":
+        blas_writes.append({"value": os.fsdecode(value), "numpy_loaded": "numpy" in sys.modules})
+    real_putenv(key, value)
+
+os._exit, os.putenv = record_and_exit, watched_putenv
+if entry == "-m":
+    runpy.run_module("grfsq", run_name="__main__", alter_sys=True)
+else:
+    module, name = entry.split(":")
+    getattr(importlib.import_module(module), name)()
 """
 SRC = Path(grfsq.__file__).resolve().parents[1]
+# every scheme on the `inputs` frames, with codebooks small enough for them
+ABLATE = (
+    "ablate", "frames.jsonl", "--schemes", "vq,gvq,rvq,grvq,grfsq",
+    "--vq-k", "2", "--gvq-groups", "2", "--gvq-k", "2", "--rvq-residuals", "2",
+    "--rvq-k", "2", "--grvq-groups", "2", "--grvq-residuals", "2", "--grvq-k", "2",
+    "--kmeans-iters", "1",
+)
 
 
-def loaded_modules(tmp_path, probe, *argv) -> set[str]:
-    """The modules a fresh interpreter running `probe` with ARGV has loaded,
-    once it has finished with exit code 0."""
-    out = tmp_path / "modules.json"
+def probe(tmp_path, code, *argv, blas_threads=None) -> dict:
+    """The record of a fresh interpreter running `code` with ARGV, once it
+    has finished with exit code 0. OPENBLAS_NUM_THREADS is `blas_threads`,
+    or unset when that is None."""
+    out = tmp_path / "record.json"
     path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     subprocess.run(
-        [sys.executable, "-c", probe, str(out), *argv],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-        check=True, capture_output=True, timeout=120,
+        [sys.executable, "-c", code, str(out), *argv],
+        cwd=tmp_path, env=env, check=True, capture_output=True, timeout=120,
     )
     record = json.loads(out.read_text())
     assert record["code"] == 0, argv
-    return set(record["modules"])
+    return record
+
+
+def loaded_modules(tmp_path, code, *argv) -> set[str]:
+    """The modules a fresh interpreter running `code` with ARGV has loaded."""
+    return set(probe(tmp_path, code, *argv)["modules"])
 
 
 @pytest.fixture
@@ -117,7 +149,9 @@ def inputs(tmp_path):
 
 class TestImportSets:
     def test_import_grfsq_loads_no_submodule(self, tmp_path):
-        modules = loaded_modules(tmp_path, IMPORT_PROBE)
+        record = probe(tmp_path, IMPORT_PROBE)
+        assert record["blas_threads"] is None  # importing sets no BLAS policy
+        modules = set(record["modules"])
         assert "grfsq" in modules
         assert [m for m in modules if m.startswith("grfsq.")] == []
         assert not modules & RANDOM_MODULES
@@ -128,26 +162,21 @@ class TestImportSets:
             ["encode", "frames.jsonl", "s.grfq", "--recon-out", "recon.jsonl"],
             ["decode", "s.grfq", "decoded.jsonl"],
         ):
-            modules = loaded_modules(inputs, CLI_PROBE, *argv)
+            modules = loaded_modules(inputs, CLI_PROBE, "-m", *argv)
             assert "grfsq.cli" in modules and "grfsq._text" in modules, argv
             assert not modules & {"grfsq.generation", "grfsq.baselines", "csv"}, argv
             assert not modules & ({"grfsq._pcg64"} | RANDOM_MODULES), argv
 
     def test_schedule_sim_loads_no_baselines(self, inputs):
         modules = loaded_modules(
-            inputs, CLI_PROBE, "schedule-sim", "--speech", "speech.txt",
+            inputs, CLI_PROBE, "-m", "schedule-sim", "--speech", "speech.txt",
             "--controls", "controls.jsonl", "--out", "sim.grfq",
         )
         assert "grfsq.generation" in modules
         assert not modules & ({"grfsq.baselines", "grfsq._pcg64"} | RANDOM_MODULES)
 
     def test_ablate_loads_no_generation(self, inputs):
-        modules = loaded_modules(
-            inputs, CLI_PROBE, "ablate", "frames.jsonl", "--schemes", "vq,gvq,rvq,grvq,grfsq",
-            "--vq-k", "2", "--gvq-groups", "2", "--gvq-k", "2", "--rvq-residuals", "2",
-            "--rvq-k", "2", "--grvq-groups", "2", "--grvq-residuals", "2", "--grvq-k", "2",
-            "--kmeans-iters", "1", "--save-codebooks", "books",
-        )
+        modules = loaded_modules(inputs, CLI_PROBE, "-m", *ABLATE, "--save-codebooks", "books")
         assert {"grfsq.baselines", "grfsq._pcg64"} <= modules
         assert not modules & ({"grfsq.generation"} | RANDOM_MODULES)
 
@@ -158,16 +187,39 @@ class TestEntryPoints:
         from grfsq import cli
 
         pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
-        assert pyproject["project"]["scripts"] == {"grfsq": "grfsq.cli:run"}
+        assert pyproject["project"]["scripts"] == {"grfsq": "grfsq.__main__:main"}
         package = SRC / "grfsq"
-        main_module = ast.parse((package / "__main__.py").read_text())
-        assert ast.unparse(main_module) == "from .cli import run\nrun()"
-        guards = [
+        body = ast.parse((package / "__main__.py").read_text()).body
+        # `python -m grfsq` runs the script's main(), which sets the BLAS
+        # policy and then hands over to cli.run
+        guards = [node for node in body if isinstance(node, ast.If)]
+        assert [ast.unparse(guard) for guard in guards] == [
+            "if __name__ == '__main__':\n    main()"
+        ]
+        main = next(node for node in body if isinstance(node, ast.FunctionDef))
+        assert [ast.unparse(node) for node in main.body[1:]] == [  # after the docstring
+            "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')",
+            "from .cli import run",
+            "run()",
+        ]
+        # cli.py is no entry point of its own: it imports numpy before any policy
+        assert not [
             node for node in ast.parse((package / "cli.py").read_text()).body
             if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
         ]
-        assert [ast.unparse(guard) for guard in guards] == ["if __name__ == '__main__':\n    run()"]
         assert callable(cli.run)
+
+    @pytest.mark.parametrize("entry", ["-m", "grfsq.__main__:main"])
+    def test_the_process_holds_blas_to_one_thread_before_numpy_loads(self, inputs, entry):
+        record = probe(inputs, CLI_PROBE, entry, *ABLATE)
+        assert record["blas_threads"] == "1"
+        assert record["blas_writes"] == [{"value": "1", "numpy_loaded": False}]
+
+    @pytest.mark.parametrize("entry", ["-m", "grfsq.__main__:main"])
+    def test_a_thread_count_the_caller_set_wins(self, inputs, entry):
+        record = probe(inputs, CLI_PROBE, entry, *ABLATE, blas_threads="2")
+        assert record["blas_threads"] == "2"
+        assert record["blas_writes"] == []
 
 
 class TestLazyPackage:

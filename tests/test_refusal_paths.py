@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 from grfsq.baselines import (
-    BaselineConfig, Codebook, baseline_bitrate, baseline_encode, kmeans_fit,
+    BaselineConfig, Codebook, baseline_bitrate, baseline_encode, baseline_utilization,
+    fit_codebooks, kmeans_fit,
 )
-from grfsq.bitstream import StreamHeader
+from grfsq.bitstream import (
+    StreamHeader, frame_bits, frame_block_bytes, frame_pack, frame_unpack, write_stream,
+)
 from grfsq.cli import main
 from grfsq.errors import (
     ConfigMismatch,
@@ -35,7 +38,8 @@ from grfsq.generation import (
     validate_prediction_grid,
 )
 from grfsq.quantizer import (
-    GrfsqConfig, bitrate, float_stream_bitrate, quantize_sequence, utilization,
+    GrfsqConfig, bitrate, calibrate_projections, float_stream_bitrate, grfsq_dequantize,
+    grfsq_quantize, quantize_sequence, utilization,
 )
 
 T, G = 4, 3
@@ -212,6 +216,37 @@ CASES = {
     "StreamHeader None config": (
         lambda _: StreamHeader(None, 1, 25.0), InvalidConfig, "config must be a GrfsqConfig",
     ),
+    # a config or header of the wrong type: once a bare AttributeError
+    **{
+        f"{name} None {what}": (call, InvalidConfig, f"{what} must be a {cls}, got None")
+        for name, call, what, cls in [
+            ("grfsq_quantize", lambda _: grfsq_quantize(np.zeros(48), None),
+             "config", "GrfsqConfig"),
+            ("grfsq_dequantize", lambda _: grfsq_dequantize(np.zeros((1, 12, 4), int), None),
+             "config", "GrfsqConfig"),
+            ("quantize_sequence", lambda _: quantize_sequence(np.zeros((1, 48)), None),
+             "config", "GrfsqConfig"),
+            ("calibrate_projections", lambda _: calibrate_projections(np.zeros((8, 48)), None),
+             "config", "GrfsqConfig"),
+            ("bitrate", lambda _: bitrate(None, 25.0), "config", "GrfsqConfig"),
+            ("utilization", lambda _: utilization(np.zeros((1, 12, 4), int), None),
+             "config", "GrfsqConfig"),
+            ("frame_bits", lambda _: frame_bits(None, 0), "config", "GrfsqConfig"),
+            ("frame_block_bytes", lambda _: frame_block_bytes(None, 0), "config", "GrfsqConfig"),
+            ("frame_pack", lambda _: frame_pack(np.zeros(48, int), None), "config", "GrfsqConfig"),
+            ("frame_unpack", lambda _: frame_unpack(bytes(14), None), "config", "GrfsqConfig"),
+            ("write_stream", lambda _: write_stream(None, np.zeros((1, 12, 4), int), io.BytesIO()),
+             "header", "StreamHeader"),
+            ("fit_codebooks", lambda _: fit_codebooks(np.zeros((T, 4)), None),
+             "config", "BaselineConfig"),
+            ("baseline_encode", lambda _: baseline_encode(np.zeros((T, 4)), None, []),
+             "config", "BaselineConfig"),
+            ("baseline_utilization", lambda _: baseline_utilization(np.zeros((T, 1, 1), int), None),
+             "config", "BaselineConfig"),
+            ("baseline_bitrate", lambda _: baseline_bitrate(None, 25.0),
+             "config", "BaselineConfig"),
+        ]
+    },
     "kmeans_fit zero-width frames": (
         lambda _: kmeans_fit(np.zeros((3, 0)), 1, 2, 0), InvalidInput, "zero-width frames",
     ),
