@@ -19,7 +19,9 @@ The summary gives, per workload and end-to-end metric of BENCHMARK.json,
 each side's median and quartiles over the numbered pairs and the number of
 pairs the change won (ties count for neither side). With `--claim '{"workload":
 "ablate-holdout", "metric": "fps"}'` the claimed row also gets `claim_met`,
-the pair rule's verdict (see `claim_met`). `machine` records numpy's SIMD
+the pair rule's verdict (see `claim_met`); a claim whose workload is not in
+`--pairs`, or whose metric is not an end-to-end one, is a usage error, refused
+before any run. `machine` records numpy's SIMD
 dispatch and BLAS build, and the OPENBLAS_NUM_THREADS every run inherits.
 """
 
@@ -191,6 +193,12 @@ def main(argv=None) -> int:
         parser.error(f"--pairs: {exc}")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.claim is not None:  # a claim no row matches would record no verdict at all
+        claim = args.claim if isinstance(args.claim, dict) else {}
+        if claim.get("workload") not in pairs:
+            parser.error(f"--claim {args.claim}: its workload must be one of --pairs {list(pairs)}")
+        if claim.get("metric") not in better:
+            parser.error(f"--claim {args.claim}: its metric must be one of {list(better)}")
 
     out = ROOT / f"BENCH_{args.label}.json"
     record = {

@@ -93,8 +93,24 @@ def _write_frames(path: str, frames: np.ndarray) -> None:
 def _write_block(fh, block: np.ndarray, old_bits: np.ndarray, old_text: np.ndarray):
     """Write one block's lines; return its table, (sorted distinct bit
     patterns, their texts), for the next block to reuse."""
-    # bit patterns, so that -0.0 and 0.0 stay apart
-    bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+    # bit patterns, so that -0.0 and 0.0 stay apart. One argsort gives the
+    # distinct ones and each cell's rank among them, held in 32 bits (a
+    # block is one frame at most past `_WRITE_CELLS`); the sort arrays are
+    # freed before any value is formatted.
+    flat = block.view(np.uint64).ravel()
+    order = flat.argsort()
+    ordered = flat[order]
+    new = np.empty(len(flat), bool)  # where a new bit pattern starts in sorted order
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    bits = ordered[new]
+    del ordered
+    new[:1] = False  # so that the running count of new patterns is a 0-based rank
+    rank = np.cumsum(new, dtype=np.uint32)
+    del new
+    index = np.empty_like(rank)
+    index[order] = rank
+    del order, rank
     at = np.searchsorted(old_bits, bits).clip(max=len(old_bits) - 1)
     text = old_text[at]
     fresh = old_bits[at] != bits
@@ -174,7 +190,19 @@ def _stream_header(
     return bitstream.StreamHeader(cfg, frame_count, args.fps, packing_mode=packing)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths `a` and `b` name one file: `os.path.samefile`, or, when
+    either does not exist yet, equal `os.path.realpath`s."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_encode(args) -> int:
+    if args.recon_out is not None and _same_file(args.output, args.recon_out):
+        # the reconstruction would overwrite the stream after it was written
+        raise InvalidConfig(f"--recon-out names the output stream {args.output!r}")
     frames = _load_frames(args.input)
     # every stream limit is checked before calibrating or quantizing
     header = _stream_header(
@@ -186,15 +214,17 @@ def cmd_encode(args) -> int:
         cfg = calibrate_projections(_load_frames(args.calibrate), cfg)
         header = dataclasses.replace(header, config=cfg)
     tokens, recon, report = quantize_sequence(frames, cfg)
+    del frames  # the header holds the frame count, which is all that is read below
     with open(args.output, "wb") as fh:
         payload_bytes = bitstream.write_stream(header, tokens, fh)
     if args.recon_out is not None:
         _write_frames(args.recon_out, recon)
+    del recon
 
     util = utilization(tokens, cfg)
     bits = bitstream.frame_bits(cfg, header.packing_mode)
     metrics = {
-        "frames": int(frames.shape[0]),
+        "frames": int(header.frame_count),
         "total_dim": int(cfg.total_dim),
         "rmse": report.mean_rmse,
         "bitrate_bps": bitrate(cfg, args.fps),
@@ -224,7 +254,9 @@ def cmd_decode(args) -> int:
     with open(args.input, "rb") as fh:
         header, tokens = bitstream.read_stream(fh)
     cfg = header.config
-    _write_frames(args.output, grfsq_dequantize(tokens, cfg))
+    frames = grfsq_dequantize(tokens, cfg)
+    del tokens  # so the writer's tables do not sit on top of them
+    _write_frames(args.output, frames)
     print(
         json.dumps(
             {
@@ -406,6 +438,7 @@ def cmd_schedule_sim(args) -> int:
             raise ConfigMismatch("training stream shape does not match the requested grid")
         train_speech = generation.load_speech_tokens(args.train_speech, vocab=args.vocab)
         predictor = generation.BigramPredictor.fit(train_tokens, train_speech, num_classes)
+        del train_tokens  # the predictor keeps its own checked copy
 
     tokens, nll_per_layer = generation.generate(
         predictor,

@@ -154,8 +154,10 @@ def _stage_values(codes, cfg: GrfsqConfig) -> np.ndarray:
 def _encode(arr: np.ndarray, cfg: GrfsqConfig):
     """Frames (T, D) through the group/residual recursion, `_CHUNK` rows at a time.
 
-    Returns (indices (T, G, R), reconstruction (T, D), squared error (R,)),
-    where error r sums over the reconstruction truncated to stages 0..r.
+    Returns (indices (T, G, R), reconstruction (T, D), squared error (R,),
+    per-frame RMSE (T,)), where error r sums over the reconstruction
+    truncated to stages 0..r. Each frame's RMSE is `_frame_rmse`'s, taken
+    from its chunk's last squared error, so no (T, D) difference is built.
     """
     levels = np.asarray(cfg.level_spec.levels, dtype=np.float64)
     # C order, so each squared-error sum runs in one order for any input layout
@@ -163,28 +165,31 @@ def _encode(arr: np.ndarray, cfg: GrfsqConfig):
     indices = np.empty(frames.shape[:2] + (cfg.num_residuals,), dtype=np.int64)
     recon = np.zeros_like(frames)
     sq_err = np.zeros(cfg.num_residuals)
+    per_frame = np.empty(len(frames))
     for s in range(0, len(frames), _CHUNK):
         chunk = residual = frames[s : s + _CHUNK]
         acc = recon[s : s + _CHUNK]
-        for r in range(cfg.num_residuals):
-            # quantize_sequence refuses an overflow: with projection entries
-            # at most 1, a projection past float64 means a squared error past it
-            with np.errstate(over="ignore"):
+        # quantize_sequence refuses an overflow: with projection entries
+        # at most 1, a projection past float64 means a squared error past it
+        with np.errstate(over="ignore"):
+            for r in range(cfg.num_residuals):
                 z = residual if cfg.projections is None else _project(cfg.projections, residual)
                 codes = _nearest_codes(np.tanh(z), levels)
                 q = _stage_values(codes, cfg)
                 acc += q
                 residual = residual - q
                 indices[s : s + _CHUNK, :, r] = _flatten(codes, cfg.level_spec)
-                sq_err[r] += ((chunk - acc) ** 2).sum()
-    return indices, recon.reshape(len(arr), cfg.total_dim), sq_err
+                sq = (chunk - acc) ** 2
+                sq_err[r] += sq.sum()
+            per_frame[s : s + _CHUNK] = np.sqrt(sq.reshape(len(chunk), -1).mean(axis=1))
+    return indices, recon.reshape(len(arr), cfg.total_dim), sq_err, per_frame
 
 
 def grfsq_quantize(x, cfg: GrfsqConfig) -> tuple[np.ndarray, np.ndarray]:
     """Quantize one frame; returns (reconstruction, indices of shape (G, R))."""
     _checked_type(cfg, GrfsqConfig, "config")
     xv = _finite_vector(x, cfg.total_dim, name="frame")
-    indices, recon, _ = _encode(xv[None], cfg)
+    indices, recon, _, _ = _encode(xv[None], cfg)
     return recon[0], indices[0]
 
 
@@ -231,14 +236,13 @@ def quantize_sequence(
     """
     _checked_type(cfg, GrfsqConfig, "config")
     arr = _frames_array(frames, cfg.total_dim)
-    indices, recon, sq_err_by_stage = _encode(arr, cfg)
+    indices, recon, sq_err_by_stage, per_frame = _encode(arr, cfg)
     _refuse_overflow(sq_err_by_stage)
-
-    per_frame, mean = _frame_rmse(arr, recon)
+    _refuse_overflow(per_frame)
     report = ReconstructionReport(
         per_frame_rmse=per_frame,
         cumulative_rmse_by_residual=np.sqrt(sq_err_by_stage / max(arr.size, 1)),
-        mean_rmse=mean,
+        mean_rmse=float(per_frame.mean()) if len(arr) else 0.0,
     )
     return indices, recon, report
 

@@ -102,6 +102,58 @@ def test_checkouts_of_unequal_path_length_are_refused(record, tmp_path, capsys):
     assert "differ in length" in capsys.readouterr().err
 
 
+def checkouts_with_spec(tmp_path):
+    """Two checkouts of equal path length, each with this repository's BENCHMARK.json."""
+    spec = (RECORD.parents[1] / "BENCHMARK.json").read_text()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "BENCHMARK.json").write_text(spec)
+    return [str(tmp_path / "a"), str(tmp_path / "b"), "--label", "x", "--parent-commit", "0"]
+
+
+def canned_run_once(checkout, workload, seconds):
+    info = {
+        "nproc": 2, "python": "3.11.7", "numpy": np.__version__, "golden": "checked",
+        "timings_s": {"op": {"median": 0.1}, "reference": {"median": 0.1}},
+    }
+    return info, canned(workload, 0, "parent", 100.0, 30.0)["result"]
+
+
+@pytest.mark.parametrize("claim, refusal", [
+    ({"workload": "v", "metric": "peak_rss_mb"}, "its workload must be one of --pairs"),
+    ({"metric": "peak_rss_mb"}, "its workload must be one of --pairs"),
+    ({"workload": "w", "metric": "cli.encode.ms"}, "its metric must be one of"),  # per-layer
+    ({"workload": "w", "metric": "rss"}, "its metric must be one of"),
+    (["w", "peak_rss_mb"], "its workload must be one of --pairs"),
+])
+def test_a_claim_no_row_can_match_is_a_usage_error(
+    record, tmp_path, capsys, monkeypatch, claim, refusal
+):
+    def no_run(*args):
+        raise AssertionError("a benchmark ran before the claim was checked")
+
+    monkeypatch.setattr(record, "run_once", no_run)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        record.main(
+            checkouts_with_spec(tmp_path) + ["--claim", json.dumps(claim), "--pairs", "w=2"]
+        )
+    assert exit_info.value.code == 2
+    assert refusal in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()
+
+
+def test_a_valid_claim_gets_its_verdict_on_canned_runs(record, tmp_path, monkeypatch):
+    monkeypatch.setattr(record, "run_once", canned_run_once)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    claim = {"workload": "w", "metric": "peak_rss_mb"}
+    argv = checkouts_with_spec(tmp_path) + ["--claim", json.dumps(claim), "--pairs", "w=2"]
+    assert record.main(argv) == 0
+    rows = json.loads((tmp_path / "BENCH_x.json").read_text())["summary"]["w seed 0"]
+    assert rows["peak_rss_mb"]["claim_met"] is False  # two tied pairs
+    assert "claim_met" not in rows["fps"]
+
+
 def pairs_of(parent, change):
     """Canned numbered pairs of fps readings, alternating which side ran first."""
     runs = []

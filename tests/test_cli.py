@@ -132,6 +132,19 @@ class TestWriteFrames:
         assert peaks[8000] < 10 << 20
         assert peaks[8000] <= 1.25 * peaks[2000]
 
+    def test_transient_memory_of_repeat_heavy_blocks(self, tmp_path):
+        # three blocks of 5 distinct values: the tables are tiny, so the peak
+        # is the dedup's own arrays, which np.unique's inverse put at 41
+        # bytes a cell
+        frames = np.random.default_rng(1).integers(-2, 3, (3000, 48)) / 4.0
+        tracemalloc.start()
+        try:
+            cli._write_frames(str(tmp_path / "out.jsonl"), frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * cli._WRITE_CELLS
+
 
 class TestEncode:
     def test_zero_frames_defaults(self, tmp_path, capsys):
@@ -158,6 +171,34 @@ class TestEncode:
         assert code == 0
         assert json.loads(stdout)["frames"] == 40
         assert decoded.read_bytes() == recon.read_bytes()
+
+    @pytest.mark.parametrize("alias", [
+        "same-path", "relative-path", "link-to-the-stream", "link-to-no-file-yet", "hard-link",
+    ])
+    def test_recon_out_naming_the_stream_exits_3_before_any_output(
+        self, tmp_path, capsys, monkeypatch, frames48, alias
+    ):
+        # once the reconstruction overwrote the stream, exit 0
+        stream = tmp_path / "out.grfq"
+        old = b"an earlier stream"
+        if alias in ("link-to-the-stream", "hard-link"):
+            stream.write_bytes(old)
+        recon = {"same-path": stream, "relative-path": os.path.join(os.curdir, "out.grfq")}.get(
+            alias, tmp_path / "alias")
+        if alias == "hard-link":
+            os.link(stream, recon)
+        elif alias.startswith("link"):
+            os.symlink(stream, recon)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(
+            capsys, "encode", str(frames48[0]), str(stream), "--recon-out", str(recon)
+        )
+        assert code == 3, stderr
+        assert stdout == ""
+        assert stderr == f"error: --recon-out names the output stream {str(stream)!r}\n"
+        assert (stream.read_bytes() if stream.exists() else None) == (
+            old if alias in ("link-to-the-stream", "hard-link") else None
+        )
 
     def test_csv_input(self, tmp_path, capsys):
         path = tmp_path / "frames.csv"

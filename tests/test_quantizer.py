@@ -439,6 +439,38 @@ class TestStageFunction:
         assert report.cumulative_rmse_by_residual.tobytes() == want_rmse.tobytes()
 
 
+def per_frame_config(projected: bool) -> GrfsqConfig:
+    if projected:
+        return random_projected_config(np.random.default_rng(5), groups=3, residuals=3)
+    return default_config()
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
+@pytest.mark.parametrize("T", [0, 1, 255, 256, 257])
+def test_per_frame_rmse_equals_the_whole_array_figure(T, projected):
+    """The encoder takes each frame's RMSE from its own chunk's squared
+    error; it must equal `_frame_rmse` over the whole arrays bit for bit,
+    across the `_CHUNK` seam, and so must the mean."""
+    cfg = per_frame_config(projected)
+    frames = np.random.default_rng(T).normal(0.0, 2.0, (T, cfg.total_dim))
+    _, recon, report = quantize_sequence(frames, cfg)
+    per_frame, mean = quantizer._frame_rmse(frames, recon)
+    assert report.per_frame_rmse.tobytes() == per_frame.tobytes()
+    assert report.mean_rmse == mean and type(report.mean_rmse) is float
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["unprojected", "projected"])
+def test_a_frame_whose_error_overflows_is_refused(projected):
+    # one frame past the first chunk squares past float64; the suite makes
+    # an overflow warning an error, so none may escape either
+    cfg = per_frame_config(projected)
+    frames = np.random.default_rng(6).normal(size=(300, cfg.total_dim))
+    frames[260] = 1e160
+    with pytest.raises(InvalidInput) as info:
+        quantize_sequence(frames, cfg)
+    assert str(info.value) == "frames too large: their squared error overflows float64"
+
+
 @st.composite
 def projection_cases(draw):
     """Per-group matrices (G, m, n), C-ordered or a transposed view as the
