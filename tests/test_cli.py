@@ -133,9 +133,9 @@ class TestWriteFrames:
         assert peaks[8000] <= 1.25 * peaks[2000]
 
     def test_transient_memory_of_repeat_heavy_blocks(self, tmp_path):
-        # three blocks of 5 distinct values: the tables are tiny, so the peak
-        # is the dedup's own arrays, which np.unique's inverse put at 41
-        # bytes a cell
+        # three blocks of five distinct values: the tables stay tiny, so the
+        # peak is the dedup's own arrays (sort order, sorted bit patterns and
+        # 32-bit ranks, about 17 bytes a cell)
         frames = np.random.default_rng(1).integers(-2, 3, (3000, 48)) / 4.0
         tracemalloc.start()
         try:
@@ -178,7 +178,7 @@ class TestEncode:
     def test_recon_out_naming_the_stream_exits_3_before_any_output(
         self, tmp_path, capsys, monkeypatch, frames48, alias
     ):
-        # once the reconstruction overwrote the stream, exit 0
+        # the reconstruction, written after the stream, would replace it
         stream = tmp_path / "out.grfq"
         old = b"an earlier stream"
         if alias in ("link-to-the-stream", "hard-link"):
